@@ -147,6 +147,16 @@ fn encode_ids(ids: &[u32]) -> Vec<u8> {
     out
 }
 
+/// Sends `ids` to a tree neighbour. A send fails only when `dst`'s
+/// communicator has dropped, so the failure is reported as that dead edge:
+/// the culprit named is the same whether the death is first seen on a
+/// send or on a drain.
+fn send_ids(comm: &mut Communicator, dst: usize, tag: u64, ids: &[u32]) -> Result<(), CommError> {
+    let rank = comm.rank();
+    comm.try_send_bytes(dst, tag, encode_ids(ids))
+        .map_err(|_| CommError::PeerDead { rank, src: dst })
+}
+
 fn decode_ids(bytes: &[u8]) -> Vec<u32> {
     bytes
         .chunks_exact(4)
@@ -241,7 +251,7 @@ impl Coordinator {
                         // Relay downward first (§V-A3), then adopt.
                         if !batch.is_empty() {
                             for &c in &children {
-                                comm.try_send_bytes(c, TAG_BEGIN, encode_ids(&batch))?;
+                                send_ids(comm, c, TAG_BEGIN, &batch)?;
                             }
                             order.extend_from_slice(&batch);
                         }
@@ -269,7 +279,7 @@ impl Coordinator {
             }
             if !newly_ready.is_empty() {
                 match parent {
-                    Some(p) => comm.try_send_bytes(p, TAG_READY, encode_ids(&newly_ready))?,
+                    Some(p) => send_ids(comm, p, TAG_READY, &newly_ready)?,
                     None => {
                         // Root: a subtree-complete tensor is globally
                         // complete. Emit a begin batch.
@@ -282,7 +292,7 @@ impl Coordinator {
                         }
                         if !batch.is_empty() {
                             for &c in &children {
-                                comm.try_send_bytes(c, TAG_BEGIN, encode_ids(&batch))?;
+                                send_ids(comm, c, TAG_BEGIN, &batch)?;
                             }
                             order.extend_from_slice(&batch);
                         }

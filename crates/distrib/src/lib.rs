@@ -17,7 +17,9 @@
 //! * [`trainer`] — synchronous data-parallel SGD over real model replicas:
 //!   identical initialization, per-step gradient averaging through the
 //!   hybrid hierarchical all-reduce, LARC / Adam / gradient-lag options,
-//!   and bitwise replica-consistency verification.
+//!   and bitwise replica-consistency verification. The plain,
+//!   checkpoint-restart and elastic trainers all run one per-rank step
+//!   engine (`replica`); only their membership policy differs.
 //! * [`modelpar`] — the §VIII-B outlook made concrete: spatial domain
 //!   decomposition with halo exchange, bitwise-equal to single-rank
 //!   convolution.
@@ -30,6 +32,7 @@ pub mod elastic;
 pub mod fusion;
 pub mod modelpar;
 mod overlap;
+mod replica;
 pub mod trainer;
 
 pub use control::{ControlPlane, Coordinator};

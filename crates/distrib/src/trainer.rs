@@ -7,26 +7,19 @@
 //! deterministic, every replica applies *identical* updates — which the
 //! trainer verifies by hashing parameters.
 
-use crate::control::{ControlPlane, Coordinator};
-use crate::fusion::fuse;
-use crate::overlap::{
-    fused_optim_env_default, overlap_env_default, reduce_bucket, CommEngine, HookClearGuard,
-    ReduceSettings,
-};
+
+use crate::control::ControlPlane;
+use crate::overlap::{fused_optim_env_default, overlap_env_default};
+use crate::replica::{Replica, StepStats};
 use exaclim_comm::{CommError, CommWorld, Communicator};
 use exaclim_faults::FaultPlan;
-use exaclim_nn::checkpoint;
-use exaclim_nn::loss::{Labels, WeightedCrossEntropy};
+use exaclim_nn::loss::Labels;
 use exaclim_nn::optim::{Adam, Lagged, LarcSgd, Optimizer, Sgd};
-use exaclim_nn::{Ctx, Layer, Param, ParamSet};
-use exaclim_tensor::init::seeded_rng;
-use exaclim_tensor::profile::{self, SpanKind};
+use exaclim_nn::Layer;
 use exaclim_tensor::{ComputePrecision, DType, Tensor};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// One local batch: input `[N, C, H, W]`, labels, per-pixel loss weights.
 pub struct Batch {
@@ -279,326 +272,165 @@ where
     assert_eq!(config.ranks % config.node_size, 0, "node_size must divide ranks");
     let comms = CommWorld::new(config.ranks);
     let stats = comms[0].stats();
-    let cfg = config.clone();
-
-    let mut results: Vec<RankResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .enumerate()
-            .map(|(rank, comm)| {
-                let cfg = cfg.clone();
-                let mb = model_builder.clone();
-                let source = source_builder(rank);
-                scope.spawn(move || rank_main(rank, comm, cfg, mb, source))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| {
-                // The plain trainer assumes a healthy world: every
-                // collective is still the fallible `try_` variant, but a
-                // failure here has no recovery story — surface it loudly.
-                h.join()
-                    .expect("rank thread")
-                    .unwrap_or_else(|e| panic!("rank {rank}: communication failed: {e}"))
-            })
-            .collect()
-    });
-
-    let n_steps = results[0].losses.len();
-    let mut steps = Vec::with_capacity(n_steps);
-    let mut diverged = false;
-    for s in 0..n_steps {
-        let mean_loss: f32 = results.iter().map(|r| r.losses[s]).sum::<f32>() / results.len() as f32;
-        if !mean_loss.is_finite() {
-            diverged = true;
+    let members: Vec<usize> = (0..config.ranks).collect();
+    let mut runs = run_world(config, comms, &members, 0, None, None, &model_builder, &source_builder);
+    for (rank, run) in runs.iter().enumerate() {
+        // The plain trainer assumes a healthy world: every collective is
+        // still the fallible `try_` variant, but a failure here has no
+        // recovery story — surface it loudly.
+        if let Some(Stop::Aborted(e)) = &run.stop {
+            panic!("rank {rank}: communication failed: {e}");
         }
-        steps.push(StepRecord {
-            step: s,
-            mean_loss,
-            wall_time_s: results[0].wall_times[s],
-        });
     }
-    let final_hashes: Vec<u64> = results.iter().map(|r| r.final_hash).collect();
-    let consistent = final_hashes.windows(2).all(|w| w[0] == w[1])
-        && results.iter().all(|r| r.per_step_hashes_consistent);
-    let per_step = |total: f64| if n_steps > 0 { total / n_steps as f64 } else { 0.0 };
+
+    let r0 = &runs[0].steps;
+    let steps: Vec<StepRecord> = (0..r0.len())
+        .map(|s| StepRecord {
+            step: s,
+            mean_loss: runs.iter().map(|r| r.steps[s].mean_loss).sum::<f32>() / runs.len() as f32,
+            wall_time_s: r0[s].wall_s,
+        })
+        .collect();
+    let final_hashes: Vec<u64> = runs.iter().map(|r| r.final_hash).collect();
+    let consistent = final_hashes.windows(2).all(|w| w[0] == w[1]) && runs.iter().all(|r| r.hashes_ok);
+    let per_step = |f: fn(&StepStats) -> f64| {
+        if r0.is_empty() { 0.0 } else { r0.iter().map(f).sum::<f64>() / r0.len() as f64 }
+    };
     let report = TrainingReport {
+        diverged: steps.iter().any(|s| !s.mean_loss.is_finite()),
         steps,
         consistent,
         final_hashes,
         rank0_control_messages: stats.messages_sent(0) + stats.messages_received(0),
-        allreduce_launches_per_step: results[0].allreduce_launches_per_step,
-        wire_bytes_per_step: results[0].wire_bytes_per_step,
-        diverged,
-        overlap_comm: cfg.overlap_comm,
-        step_hashes: std::mem::take(&mut results[0].step_hashes),
-        exposed_comm_s_per_step: per_step(results[0].exposed_comm_s),
-        comm_busy_s_per_step: per_step(results[0].comm_busy_s),
-        ingest_wait_s_per_step: per_step(results[0].ingest_wait_s),
-        fused_optim: cfg.fused_optim,
-        optim_s_per_step: per_step(results[0].optim_s),
-        optim_busy_s_per_step: per_step(results[0].optim_busy_s),
-        optim_s_steps: std::mem::take(&mut results[0].optim_s_steps),
-        exposed_comm_s_steps: std::mem::take(&mut results[0].exposed_comm_s_steps),
+        allreduce_launches_per_step: runs[0].launches,
+        wire_bytes_per_step: r0.last().map_or(0, |s| s.wire_bytes),
+        overlap_comm: config.overlap_comm,
+        step_hashes: r0.iter().map(|s| s.hash).collect(),
+        exposed_comm_s_per_step: per_step(|s| s.exposed_comm_s),
+        comm_busy_s_per_step: per_step(|s| s.comm_busy_s),
+        ingest_wait_s_per_step: per_step(|s| s.ingest_wait_s),
+        fused_optim: config.fused_optim,
+        optim_s_per_step: per_step(|s| s.optim_s),
+        optim_busy_s_per_step: per_step(|s| s.optim_busy_s),
+        optim_s_steps: r0.iter().map(|s| s.optim_s).collect(),
+        exposed_comm_s_steps: r0.iter().map(|s| s.exposed_comm_s).collect(),
     };
-    let model = results.swap_remove(0).model;
-    (report, model)
+    (report, runs.swap_remove(0).model)
 }
 
-struct RankResult {
-    losses: Vec<f32>,
-    wall_times: Vec<f64>,
+/// Why a rank stopped before its last step.
+enum Stop {
+    /// The injected fault fired: the rank exited at this step, dropping
+    /// its communicator without a word — a real node death's signature.
+    Crashed(usize),
+    /// A collective failed (a peer died or went silent); the rank backed
+    /// out cleanly so the driver can restart the survivors.
+    Aborted(CommError),
+}
+
+/// What one rank accumulated over a run (plain) or a generation (FT).
+struct RankRun {
+    steps: Vec<StepStats>,
+    /// Completed-step counts at which this rank saved an auto-checkpoint.
+    saved: Vec<usize>,
+    /// `None` when the rank ran every step.
+    stop: Option<Stop>,
+    hashes_ok: bool,
     final_hash: u64,
-    per_step_hashes_consistent: bool,
-    allreduce_launches_per_step: usize,
-    wire_bytes_per_step: u64,
-    step_hashes: Vec<u64>,
-    exposed_comm_s: f64,
-    comm_busy_s: f64,
-    ingest_wait_s: f64,
-    optim_s: f64,
-    optim_busy_s: f64,
-    optim_s_steps: Vec<f64>,
-    exposed_comm_s_steps: Vec<f64>,
+    launches: usize,
     model: Box<dyn Layer>,
 }
 
-fn rank_main<B, MB>(
-    rank: usize,
-    comm: Communicator,
-    cfg: TrainerConfig,
-    model_builder: MB,
-    mut source: B,
-) -> Result<RankResult, CommError>
+/// Runs one world: a thread per member, each building its replica
+/// (restored from `resume`, fast-forwarded to `start`), wiring it into
+/// `comms` and running the shared rank loop to `cfg.steps`. `ft` adds the
+/// checkpoint-restart hooks: the fault plan's crash step per member and
+/// auto-checkpoints written by the world's rank 0.
+#[allow(clippy::too_many_arguments)]
+fn run_world<B, MB, SB>(
+    cfg: &TrainerConfig,
+    comms: Vec<Communicator>,
+    members: &[usize],
+    start: usize,
+    resume: Option<&Path>,
+    ft: Option<(&FtConfig, &FaultPlan)>,
+    model_builder: &MB,
+    source_builder: &SB,
+) -> Vec<RankRun>
 where
-    B: BatchSource,
-    MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
+    B: BatchSource + 'static,
+    MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer> + Sync,
+    SB: Fn(usize) -> B + Sync,
 {
-    // Identical replica on every rank.
-    let mut init_rng = seeded_rng(cfg.seed);
-    let mut model = model_builder(&mut init_rng);
-    let params = model.params();
-    let sizes: Vec<usize> = params.iter().map(|p| p.numel()).collect();
-    let n_tensors = sizes.len();
-    let coordinator = Coordinator::new(cfg.control, n_tensors);
-    let loss_fn = WeightedCrossEntropy::with_scale(cfg.loss_scale);
-    let lag = cfg.gradient_lag.then_some(cfg.lag_depth.max(1));
-    // Boxed in an Option because fused-overlap steps lend the optimizer
-    // to the comm progress thread for the duration of backward.
-    let mut optimizer: Option<Box<dyn Optimizer + Send>> =
-        Some(build_optimizer(cfg.optimizer, lag, cfg.loss_scale));
-    // Dropout decorrelates across ranks; model init does not.
-    let mut ctx = Ctx::train(cfg.seed ^ (rank as u64 + 1) << 17).with_compute(cfg.compute);
-    let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ rank as u64);
-
-    // Tensor-id-indexed handles and step-invariant fusion buckets, fixed
-    // *before* any step runs from the canonical sorted order: bucket
-    // membership — and therefore summation order and parameter bits —
-    // cannot depend on readiness timing or on whether reduction overlaps
-    // backward.
-    let params_vec: Vec<Param> = params.iter().cloned().collect();
-    let canonical: Vec<u32> = (0..n_tensors as u32).collect();
-    let buckets = fuse(&canonical, &sizes, cfg.fusion_threshold_bytes);
-    let settings = ReduceSettings {
-        ranks: cfg.ranks,
-        node_size: cfg.node_size,
-        shard_leaders: cfg.shard_leaders,
-        compress: cfg.compress_gradients,
-    };
-    let mut engine = cfg
-        .overlap_comm
-        .then(|| CommEngine::new(rank, params_vec.clone(), buckets.clone(), settings.clone()));
-    let _hooks = engine.as_ref().map(|e| {
-        for (i, p) in params_vec.iter().enumerate() {
-            let t = e.tracker().clone();
-            p.set_ready_hook(Arc::new(move || t.notify(i)));
-        }
-        HookClearGuard(params_vec.clone())
-    });
-
-    let mut comm = Some(comm);
-    let mut losses = Vec::with_capacity(cfg.steps);
-    let mut wall_times = Vec::with_capacity(cfg.steps);
-    let mut step_hashes = Vec::with_capacity(cfg.steps);
-    let mut hashes_ok = true;
-    let launches = buckets.len();
-    let mut wire_bytes = 0u64;
-    let mut exposed_comm_s = 0.0f64;
-    let mut comm_busy_s = 0.0f64;
-    let mut ingest_wait_s = 0.0f64;
-    let mut optim_s = 0.0f64;
-    let mut optim_busy_s = 0.0f64;
-    let mut optim_s_steps = Vec::with_capacity(cfg.steps);
-    let mut exposed_comm_s_steps = Vec::with_capacity(cfg.steps);
-
-    // Agree on an all-reduce order despite per-rank scheduling skew. The
-    // coordination round proves agreement and liveness (and its message
-    // traffic is what the control-plane comparisons measure), but the
-    // *batch boundaries* it emits depend on message arrival timing.
-    // Execution uses the step-invariant canonical buckets above, so
-    // fusion replays identically across runs and modes.
-    let coordinate =
-        |comm: &mut Communicator, rng: &mut rand::rngs::StdRng| -> Result<(), CommError> {
-            let mut ready: Vec<u32> = (0..n_tensors as u32).collect();
-            if cfg.shuffle_ready_order {
-                ready.shuffle(rng);
-            }
-            let mut order = coordinator.try_coordinate(comm, &ready)?;
-            order.sort_unstable();
-            debug_assert_eq!(order, canonical, "coordination must cover every tensor");
-            Ok(())
-        };
-
-    for step in 0..cfg.steps {
-        let t0 = Instant::now();
-        let ti = Instant::now();
-        let batch = source.next_batch();
-        let ingest_wait = ti.elapsed();
-        profile::record_span(rank, step, SpanKind::Ingest, ti, ingest_wait.as_secs_f64());
-        ingest_wait_s += ingest_wait.as_secs_f64();
-        let input = if batch.input.dtype() == cfg.precision {
-            batch.input
-        } else {
-            batch.input.cast(cfg.precision)
-        };
-
-        if let Some(engine) = engine.as_mut() {
-            // Overlap mode coordinates *before* forward so the progress
-            // thread can start the moment the first bucket is ready.
-            // Bit-neutral: the round uses fixed control tags and consumes
-            // `shuffle_rng` exactly once per step either way.
-            let c = comm.as_mut().expect("communicator on rank thread");
-            coordinate(c, &mut shuffle_rng)?;
-            engine.tracker().reset();
-            // Fused mode lends the optimizer too: its step is begun here
-            // (state bound, per-step scalars advanced — grads untouched),
-            // then the worker applies each bucket's params the moment that
-            // bucket's all-reduce lands.
-            let lent = cfg.fused_optim.then(|| {
-                let mut o = optimizer.take().expect("optimizer on rank thread");
-                o.begin_step(&params);
-                o
-            });
-            engine.begin_step(comm.take().expect("communicator on rank thread"), step, lent);
-        }
-
-        let tf = Instant::now();
-        let logits = model.forward(&input, &mut ctx);
-        profile::record_span(rank, step, SpanKind::Forward, tf, tf.elapsed().as_secs_f64());
-        profile::set_phase(profile::Phase::Backward);
-        let tb = Instant::now();
-        let out = loss_fn.forward(&logits, &batch.labels, &batch.weights);
-        // With the engine armed, ready hooks fire as layer backward paths
-        // finish and the progress thread reduces buckets concurrently.
-        model.backward(&out.grad_logits);
-        profile::record_span(rank, step, SpanKind::Backward, tb, tb.elapsed().as_secs_f64());
-        profile::set_phase(profile::Phase::Forward);
-
-        let worker_stepped = engine.is_some() && cfg.fused_optim;
-        let exposed_this_step;
-        if let Some(engine) = engine.as_mut() {
-            // Join the progress thread; time blocked here is the step's
-            // exposed communication (plus, in fused mode, whatever bucket
-            // applies outlasted backward).
-            let te = Instant::now();
-            let out = engine.finish_step();
-            let exposed = te.elapsed().as_secs_f64();
-            profile::record_span(rank, step, SpanKind::CommExposed, te, exposed);
-            comm = Some(out.comm);
-            if let Some(o) = out.opt {
-                optimizer = Some(o);
-            }
-            if out.result.is_ok() && worker_stepped {
-                assert_eq!(
-                    out.applied_buckets,
-                    buckets.len(),
-                    "fused step must retire every bucket on the worker"
-                );
-            }
-            out.result?;
-            wire_bytes = out.wire_bytes;
-            exposed_comm_s += exposed;
-            exposed_this_step = exposed;
-            comm_busy_s += out.busy_s;
-            optim_busy_s += out.optim_busy_s;
-        } else {
-            let c = comm.as_mut().expect("communicator on rank thread");
-            coordinate(c, &mut shuffle_rng)?;
-            // Fused gradient all-reduces, serial on the critical path.
-            let te = Instant::now();
-            wire_bytes = 0;
-            for bucket in &buckets {
-                wire_bytes += reduce_bucket(&params_vec, bucket, c, &settings, rank, step)?;
-            }
-            let exposed = te.elapsed().as_secs_f64();
-            profile::record_span(rank, step, SpanKind::CommExposed, te, exposed);
-            exposed_comm_s += exposed;
-            exposed_this_step = exposed;
-            comm_busy_s += exposed;
-        }
-        exposed_comm_s_steps.push(exposed_this_step);
-
-        let c = comm.as_mut().expect("communicator on rank thread");
-        let topt = Instant::now();
-        if !worker_stepped {
-            let o = optimizer.as_mut().expect("optimizer on rank thread");
-            if cfg.fused_optim {
-                // Fused without overlap: spread the independent
-                // per-parameter updates over the kernel thread pool.
-                o.par_step(&params);
-            } else {
-                o.step(&params);
-            }
-            let dur = topt.elapsed().as_secs_f64();
-            profile::record_span(rank, step, SpanKind::Optimizer, topt, dur);
-            optim_busy_s += dur;
-        }
-        let optim_this_step = topt.elapsed().as_secs_f64();
-        optim_s += optim_this_step;
-        optim_s_steps.push(optim_this_step);
-
-        // Cross-rank loss mean (a tiny collective, as in real logging).
-        let mut lbuf = vec![out.loss];
-        c.try_allreduce_tree(&mut lbuf)?;
-        losses.push(lbuf[0] / cfg.ranks as f32);
-
-        // Replica-consistency audit: all ranks must agree bit-for-bit.
-        // The hash travels as four 16-bit limbs, each exact in f32.
-        let h = params.state_hash();
-        step_hashes.push(h);
-        let mut hbuf: Vec<f32> = (0..4).map(|i| ((h >> (16 * i)) & 0xffff) as f32).collect();
-        let mine = hbuf.clone();
-        c.try_broadcast(0, &mut hbuf)?;
-        if hbuf != mine {
-            hashes_ok = false;
-        }
-        source.on_step_timing(ingest_wait, t0.elapsed());
-        wall_times.push(t0.elapsed().as_secs_f64());
-    }
-
-    Ok(RankResult {
-        losses,
-        wall_times,
-        final_hash: param_hash(&params),
-        per_step_hashes_consistent: hashes_ok,
-        allreduce_launches_per_step: launches,
-        wire_bytes_per_step: wire_bytes,
-        step_hashes,
-        exposed_comm_s,
-        comm_busy_s,
-        ingest_wait_s,
-        optim_s,
-        optim_busy_s,
-        optim_s_steps,
-        exposed_comm_s_steps,
-        model,
+    let world = comms.len();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = comms
+            .into_iter()
+            .zip(members)
+            .enumerate()
+            .map(|(idx, (comm, &id))| {
+                let mut source = source_builder(id);
+                scope.spawn(move || {
+                    let mut replica = Replica::new(cfg, id, model_builder);
+                    if let Some(path) = resume {
+                        replica.restore(path);
+                    }
+                    replica.fast_forward(&mut source, start);
+                    replica.wire(comm, idx, world);
+                    let crash_at = ft.and_then(|(_, faults)| faults.crash_step(id));
+                    let checkpoint = ft
+                        .filter(|_| idx == 0)
+                        .map(|(ft, _)| (ft.checkpoint_every, ft.checkpoint_dir.as_path()));
+                    run_rank(replica, source, start..cfg.steps, crash_at, checkpoint)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("rank thread")).collect()
     })
 }
 
-fn param_hash(params: &ParamSet) -> u64 {
-    params.state_hash()
+/// The rank loop shared by the plain and checkpoint-restart trainers.
+/// Both lend the optimizer to the comm worker in fused-overlap mode: a
+/// step that aborts with some buckets applied is wiped by the restart,
+/// which restores model *and* optimizer state from a checkpoint.
+fn run_rank<B: BatchSource>(
+    mut replica: Replica,
+    mut source: B,
+    steps: Range<usize>,
+    crash_at: Option<usize>,
+    checkpoint: Option<(usize, &Path)>,
+) -> RankRun {
+    let mut stats = Vec::with_capacity(steps.len());
+    let mut saved = Vec::new();
+    let mut stop = None;
+    for step in steps {
+        if crash_at == Some(step) {
+            // Fault injection: die here. Dropping the communicator is the
+            // whole signal — peers find out through their own receives.
+            stop = Some(Stop::Crashed(step));
+            break;
+        }
+        match replica.step(step, &mut source, true) {
+            Ok(s) => stats.push(s),
+            Err(e) => {
+                stop = Some(Stop::Aborted(e));
+                break;
+            }
+        }
+        if let Some((_, dir)) = checkpoint.filter(|&(every, _)| (step + 1) % every == 0) {
+            replica.save_auto(dir, step + 1);
+            saved.push(step + 1);
+        }
+    }
+    RankRun {
+        steps: stats,
+        saved,
+        stop,
+        hashes_ok: replica.hashes_ok,
+        final_hash: replica.params.state_hash(),
+        launches: replica.launches(),
+        model: replica.model,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -662,29 +494,6 @@ pub struct FtReport {
     pub steps_replayed: usize,
 }
 
-/// How one rank's participation in a generation ended.
-enum FtOutcome {
-    /// Ran every remaining step.
-    Finished(FtRankRun),
-    /// The injected fault fired: the rank exited at this step, dropping
-    /// its communicator without a word — a real node death's signature.
-    Crashed { at_step: usize, run: FtRankRun },
-    /// A collective failed (a peer died or went silent); the rank backed
-    /// out cleanly so the driver can restart the survivors.
-    Aborted { error: CommError, run: FtRankRun },
-}
-
-/// What a rank accumulated before its generation ended.
-struct FtRankRun {
-    /// `(global step, mean loss, wall seconds)` per completed step.
-    records: Vec<(usize, f32, f64)>,
-    /// Completed-step counts at which this rank saved an auto-checkpoint.
-    saved: Vec<usize>,
-    per_step_hashes_consistent: bool,
-    final_hash: u64,
-    model: Box<dyn Layer>,
-}
-
 /// Runs synchronous data-parallel training that survives rank deaths.
 ///
 /// The driver runs the world in *generations*. Within a generation, ranks
@@ -729,104 +538,58 @@ where
     let mut step_records: Vec<Option<StepRecord>> = vec![None; ft.base.steps];
 
     loop {
-        let n = members.len();
-        assert!(n >= 1, "every rank died; nothing left to restart");
-        let mut cfg = ft.base.clone();
-        cfg.ranks = n;
-        if !n.is_multiple_of(cfg.node_size) {
-            // The surviving world no longer tiles into full nodes; fall
-            // back to a flat topology.
-            cfg.node_size = 1;
-        }
-        cfg.shard_leaders = cfg.shard_leaders.min(cfg.node_size);
+        assert!(!members.is_empty(), "every rank died; nothing left to restart");
         let start_step = resume.as_ref().map_or(0, |(s, _)| *s);
+        let comms = CommWorld::with_deadline(members.len(), ft.recv_deadline);
+        let resume_path = resume.as_ref().map(|(_, p)| p.as_path());
+        let (mb, sb) = (&model_builder, &source_builder);
+        let mut runs = run_world(&ft.base, comms, &members, start_step, resume_path, Some((ft, faults)), mb, sb);
 
-        let comms = CommWorld::with_deadline(n, ft.recv_deadline);
-        let outcomes: Vec<FtOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .enumerate()
-                .map(|(idx, comm)| {
-                    let original = members[idx];
-                    let cfg = cfg.clone();
-                    let mb = model_builder.clone();
-                    let source = source_builder(original);
-                    let resume = resume.clone();
-                    scope.spawn(move || {
-                        rank_main_ft(idx, original, comm, cfg, ft, start_step, resume, faults, mb, source)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread")).collect()
-        });
-
-        let mut newly_dead: Vec<usize> = Vec::new();
-        let mut why: Vec<String> = Vec::new();
-        let mut all_finished = true;
-        let mut final_hashes: Vec<u64> = Vec::new();
-        let mut hashes_ok = true;
-        let mut model_out: Option<Box<dyn Layer>> = None;
-        let mut gen_end = start_step;
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            let run = match outcome {
-                FtOutcome::Finished(run) => {
-                    final_hashes.push(run.final_hash);
-                    hashes_ok &= run.per_step_hashes_consistent;
-                    run
-                }
-                FtOutcome::Crashed { at_step, run } => {
-                    all_finished = false;
-                    newly_dead.push(members[idx]);
-                    why.push(format!("rank {} crashed at step {at_step}", members[idx]));
-                    run
-                }
-                FtOutcome::Aborted { error, run } => {
-                    all_finished = false;
-                    why.push(format!("rank {} aborted: {error}", members[idx]));
-                    run
-                }
-            };
-            // Rank 0 of the generation is the checkpoint writer and the
-            // source of step aggregates (even from a partial generation).
-            if idx == 0 {
-                gen_end = run.records.last().map_or(start_step, |r| r.0 + 1);
-                for &(step, loss, wall) in &run.records {
-                    step_records[step] = Some(StepRecord { step, mean_loss: loss, wall_time_s: wall });
-                }
-                checkpoints_saved += run.saved.len();
-                if let Some(&s) = run.saved.iter().max() {
-                    if resume.as_ref().is_none_or(|(r, _)| s > *r) {
-                        let path = ft.checkpoint_dir.join(format!("step-{s:08}.exck"));
-                        resume = Some((s, path));
-                    }
-                }
-                if all_finished {
-                    model_out = Some(run.model);
-                }
+        // Rank 0 of the generation is the checkpoint writer and the source
+        // of step aggregates (even from a partial generation).
+        let r0 = &runs[0];
+        for s in &r0.steps {
+            let (step, mean_loss, wall_time_s) = (s.step, s.mean_loss, s.wall_s);
+            step_records[step] = Some(StepRecord { step, mean_loss, wall_time_s });
+        }
+        let gen_end = r0.steps.last().map_or(start_step, |s| s.step + 1);
+        checkpoints_saved += r0.saved.len();
+        if let Some(&s) = r0.saved.iter().max() {
+            if resume.as_ref().is_none_or(|(r, _)| s > *r) {
+                resume = Some((s, ft.checkpoint_dir.join(format!("step-{s:08}.exck"))));
             }
         }
 
-        if all_finished {
-            let steps: Vec<StepRecord> = step_records
-                .into_iter()
-                .map(|r| r.expect("every step completed"))
-                .collect();
-            let diverged = steps.iter().any(|s| !s.mean_loss.is_finite());
-            let consistent = hashes_ok && final_hashes.windows(2).all(|w| w[0] == w[1]);
+        if runs.iter().all(|r| r.stop.is_none()) {
+            let steps: Vec<StepRecord> =
+                step_records.into_iter().map(|r| r.expect("every step completed")).collect();
+            let final_hashes: Vec<u64> = runs.iter().map(|r| r.final_hash).collect();
             let report = FtReport {
+                diverged: steps.iter().any(|s| !s.mean_loss.is_finite()),
                 steps,
+                consistent: runs.iter().all(|r| r.hashes_ok) && final_hashes.windows(2).all(|w| w[0] == w[1]),
                 final_hashes,
-                consistent,
                 restarts,
                 checkpoints_saved,
                 ranks_lost,
                 survivors: members,
-                diverged,
                 steps_replayed,
             };
-            return (report, model_out.expect("rank 0 finished"));
+            return (report, runs.swap_remove(0).model);
         }
 
+        let mut newly_dead: Vec<usize> = Vec::new();
+        let mut why: Vec<String> = Vec::new();
+        for (run, &id) in runs.iter().zip(&members) {
+            match &run.stop {
+                Some(Stop::Crashed(at_step)) => {
+                    newly_dead.push(id);
+                    why.push(format!("rank {id} crashed at step {at_step}"));
+                }
+                Some(Stop::Aborted(error)) => why.push(format!("rank {id} aborted: {error}")),
+                None => {}
+            }
+        }
         // Work completed past the checkpoint the next generation resumes
         // from is lost and must be re-run.
         steps_replayed += gen_end.saturating_sub(resume.as_ref().map_or(0, |(s, _)| *s));
@@ -841,227 +604,6 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main_ft<B, MB>(
-    idx: usize,
-    original: usize,
-    comm: Communicator,
-    cfg: TrainerConfig,
-    ft: &FtConfig,
-    start_step: usize,
-    resume: Option<(usize, PathBuf)>,
-    faults: &FaultPlan,
-    model_builder: MB,
-    mut source: B,
-) -> FtOutcome
-where
-    B: BatchSource,
-    MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
-{
-    // Identical replica on every rank, then an identical restore on top.
-    let mut init_rng = seeded_rng(cfg.seed);
-    let mut model = model_builder(&mut init_rng);
-    let state = checkpoint::full_state(model.as_ref());
-    if let Some((step, path)) = &resume {
-        checkpoint::load_into(&state, path)
-            .unwrap_or_else(|e| panic!("rank {original}: restore step-{step} checkpoint: {e}"));
-    }
-    let params = model.params();
-    let sizes: Vec<usize> = params.iter().map(|p| p.numel()).collect();
-    let n_tensors = sizes.len();
-    let coordinator = Coordinator::new(cfg.control, n_tensors);
-    let loss_fn = WeightedCrossEntropy::with_scale(cfg.loss_scale);
-    let lag = cfg.gradient_lag.then_some(cfg.lag_depth.max(1));
-    let mut optimizer: Option<Box<dyn Optimizer + Send>> =
-        Some(build_optimizer(cfg.optimizer, lag, cfg.loss_scale));
-    if let Some((step, path)) = &resume {
-        // EXCK v2 checkpoints carry the optimizer trailer; importing it
-        // resumes the exact momentum/moment trajectory (v1 files simply
-        // yield an empty state — a cold start, as before). The trailer
-        // layout is the same whether it was exported by a fused or a
-        // legacy run, so restarts freely cross the two modes.
-        let opt_state = checkpoint::load_optimizer_state(path)
-            .unwrap_or_else(|e| panic!("rank {original}: read step-{step} optimizer state: {e}"));
-        optimizer
-            .as_mut()
-            .expect("optimizer on rank thread")
-            .import_state(&opt_state, &params)
-            .unwrap_or_else(|e| panic!("rank {original}: restore optimizer state: {e}"));
-    }
-    // Streams are keyed by the rank's *original* id so they stay stable
-    // across generations (a survivor keeps its data shard).
-    let mut ctx = Ctx::train(cfg.seed ^ (original as u64 + 1) << 17).with_compute(cfg.compute);
-    let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ original as u64);
-    // Fast-forward the per-rank streams to the resume point so replayed
-    // global steps see the batches they would have seen.
-    for _ in 0..start_step {
-        let _ = source.next_batch();
-        if cfg.shuffle_ready_order {
-            let mut ready: Vec<u32> = (0..n_tensors as u32).collect();
-            ready.shuffle(&mut shuffle_rng);
-        }
-    }
-
-    // Same step-invariant canonical buckets as the plain trainer — a
-    // checkpoint-restart replay must be bit-identical, so arrival timing
-    // (and the overlap mode switch) must not leak into the arithmetic.
-    let params_vec: Vec<Param> = params.iter().cloned().collect();
-    let canonical: Vec<u32> = (0..n_tensors as u32).collect();
-    let buckets = fuse(&canonical, &sizes, cfg.fusion_threshold_bytes);
-    let settings = ReduceSettings {
-        ranks: cfg.ranks,
-        node_size: cfg.node_size,
-        shard_leaders: cfg.shard_leaders,
-        compress: cfg.compress_gradients,
-    };
-    let mut engine = cfg
-        .overlap_comm
-        .then(|| CommEngine::new(idx, params_vec.clone(), buckets.clone(), settings.clone()));
-    let _hooks = engine.as_ref().map(|e| {
-        for (i, p) in params_vec.iter().enumerate() {
-            let t = e.tracker().clone();
-            p.set_ready_hook(Arc::new(move || t.notify(i)));
-        }
-        HookClearGuard(params_vec.clone())
-    });
-    let mut comm = Some(comm);
-
-    let crash_at = faults.crash_step(original);
-    let mut records: Vec<(usize, f32, f64)> = Vec::new();
-    let mut saved: Vec<usize> = Vec::new();
-    let mut hashes_ok = true;
-    let mk_run = |records: Vec<(usize, f32, f64)>, saved: Vec<usize>, hashes_ok: bool, hash: u64, model: Box<dyn Layer>| FtRankRun {
-        records,
-        saved,
-        per_step_hashes_consistent: hashes_ok,
-        final_hash: hash,
-        model,
-    };
-
-    for step in start_step..cfg.steps {
-        if crash_at == Some(step) {
-            // Fault injection: die here. Dropping the communicator is the
-            // whole signal — peers find out through their own receives.
-            let hash = param_hash(&params);
-            return FtOutcome::Crashed {
-                at_step: step,
-                run: mk_run(records, saved, hashes_ok, hash, model),
-            };
-        }
-        let t0 = Instant::now();
-        let step_result: Result<f32, CommError> = (|| {
-            let batch = source.next_batch();
-            let input = if batch.input.dtype() == cfg.precision {
-                batch.input
-            } else {
-                batch.input.cast(cfg.precision)
-            };
-
-            let try_coordinate =
-                |comm: &mut Communicator, rng: &mut rand::rngs::StdRng| -> Result<(), CommError> {
-                    let mut ready: Vec<u32> = (0..n_tensors as u32).collect();
-                    if cfg.shuffle_ready_order {
-                        ready.shuffle(rng);
-                    }
-                    let mut order = coordinator.try_coordinate(comm, &ready)?;
-                    order.sort_unstable();
-                    debug_assert_eq!(order, canonical, "coordination must cover every tensor");
-                    Ok(())
-                };
-            if let Some(engine) = engine.as_mut() {
-                let c = comm.as_mut().expect("communicator on rank thread");
-                try_coordinate(c, &mut shuffle_rng)?;
-                engine.tracker().reset();
-                // Bucket-apply is safe under checkpoint-restart: if the
-                // step aborts with some buckets already applied, the
-                // restart restores full model *and* optimizer state from
-                // the last checkpoint, wiping the partial update.
-                let lent = cfg.fused_optim.then(|| {
-                    let mut o = optimizer.take().expect("optimizer on rank thread");
-                    o.begin_step(&params);
-                    o
-                });
-                engine.begin_step(comm.take().expect("communicator on rank thread"), step, lent);
-            }
-
-            let logits = model.forward(&input, &mut ctx);
-            profile::set_phase(profile::Phase::Backward);
-            let out = loss_fn.forward(&logits, &batch.labels, &batch.weights);
-            model.backward(&out.grad_logits);
-            profile::set_phase(profile::Phase::Forward);
-
-            let worker_stepped = engine.is_some() && cfg.fused_optim;
-            if let Some(engine) = engine.as_mut() {
-                // Join the progress thread. On a peer death the worker's
-                // collective fails with a typed CommError after draining
-                // its remaining bucket notifications, so the error comes
-                // back here — never a hang — and aborts the step cleanly.
-                let out = engine.finish_step();
-                comm = Some(out.comm);
-                if let Some(o) = out.opt {
-                    optimizer = Some(o);
-                }
-                out.result?;
-            } else {
-                let c = comm.as_mut().expect("communicator on rank thread");
-                try_coordinate(c, &mut shuffle_rng)?;
-                for bucket in &buckets {
-                    reduce_bucket(&params_vec, bucket, c, &settings, idx, step)?;
-                }
-            }
-
-            if !worker_stepped {
-                let o = optimizer.as_mut().expect("optimizer on rank thread");
-                if cfg.fused_optim {
-                    o.par_step(&params);
-                } else {
-                    o.step(&params);
-                }
-            }
-
-            let c = comm.as_mut().expect("communicator on rank thread");
-            let mut lbuf = vec![out.loss];
-            c.try_allreduce_tree(&mut lbuf)?;
-            let mean_loss = lbuf[0] / cfg.ranks as f32;
-
-            let h = params.state_hash();
-            let mut hbuf: Vec<f32> = (0..4).map(|i| ((h >> (16 * i)) & 0xffff) as f32).collect();
-            let mine = hbuf.clone();
-            c.try_broadcast(0, &mut hbuf)?;
-            if hbuf != mine {
-                hashes_ok = false;
-            }
-            Ok(mean_loss)
-        })();
-
-        match step_result {
-            Ok(mean_loss) => {
-                records.push((step, mean_loss, t0.elapsed().as_secs_f64()));
-                let completed = step + 1;
-                if idx == 0 && completed % ft.checkpoint_every == 0 {
-                    checkpoint::save_auto_with_optimizer(
-                        &state,
-                        &optimizer.as_ref().expect("optimizer on rank thread").export_state(),
-                        &ft.checkpoint_dir,
-                        completed,
-                    )
-                    .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
-                    saved.push(completed);
-                }
-            }
-            Err(error) => {
-                let hash = param_hash(&params);
-                return FtOutcome::Aborted {
-                    error,
-                    run: mk_run(records, saved, hashes_ok, hash, model),
-                };
-            }
-        }
-    }
-
-    let hash = param_hash(&params);
-    FtOutcome::Finished(mk_run(records, saved, hashes_ok, hash, model))
-}
 
 /// Shared toy training fixtures for the trainer / elastic test suites.
 #[cfg(test)]
@@ -1070,7 +612,7 @@ pub(crate) mod test_support {
     use exaclim_nn::layers::Conv2d;
     use exaclim_nn::loss::{class_weights, pixel_weight_map, ClassWeighting};
     use exaclim_nn::Sequential;
-    use exaclim_tensor::init::randn;
+    use exaclim_tensor::init::{randn, seeded_rng};
     use exaclim_tensor::ops::Conv2dParams;
 
     /// A toy per-rank source: random 2-channel fields whose label is 1
@@ -1114,14 +656,36 @@ pub(crate) mod test_support {
             rng: seeded_rng(900 + rank as u64),
         }
     }
+
+    /// `toy_config` under every overlap × fused × compute combination,
+    /// each set explicitly so equivalence tables never depend on the
+    /// `EXACLIM_*` environment they run under.
+    pub(crate) fn mode_configs(ranks: usize, steps: usize) -> Vec<TrainerConfig> {
+        let mut out = Vec::new();
+        for overlap_comm in [false, true] {
+            for fused_optim in [false, true] {
+                for compute in [ComputePrecision::F32, ComputePrecision::Bf16] {
+                    let base = toy_config(ranks, steps);
+                    out.push(TrainerConfig { overlap_comm, fused_optim, compute, ..base });
+                }
+            }
+        }
+        out
+    }
+
+    /// Labels a [`mode_configs`] row in assertion messages.
+    pub(crate) fn mode(cfg: &TrainerConfig) -> String {
+        format!("overlap={} fused={} compute={:?}", cfg.overlap_comm, cfg.fused_optim, cfg.compute)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{toy_config, toy_model, toy_source};
+    use super::test_support::{mode, mode_configs, toy_config, toy_model, toy_source};
     use super::*;
     use exaclim_nn::layers::Conv2d;
     use exaclim_nn::Sequential;
+    use exaclim_tensor::init::seeded_rng;
     use exaclim_tensor::ops::Conv2dParams;
     use rand::Rng;
 
@@ -1250,17 +814,20 @@ mod tests {
     #[test]
     fn healthy_ft_run_matches_plain_trainer_bitwise() {
         // With no faults injected, the fault-tolerant path must follow
-        // the exact arithmetic of the plain trainer.
-        let (plain, _m) = train_data_parallel(&toy_config(2, 6), toy_model, toy_source);
-        let ft = ft_config(2, 6, "healthy");
-        let (r, _m2) = train_data_parallel_ft(&ft, &FaultPlan::none(), toy_model, toy_source);
-        assert_eq!(r.restarts, 0);
-        assert!(r.ranks_lost.is_empty());
-        assert_eq!(r.steps_replayed, 0);
-        assert!(r.consistent);
-        assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits");
-        assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
-        std::fs::remove_dir_all(&ft.checkpoint_dir).ok();
+        // the exact arithmetic of the plain trainer in every mode.
+        for (i, base) in mode_configs(2, 6).into_iter().enumerate() {
+            let m = mode(&base);
+            let (plain, _m) = train_data_parallel(&base, toy_model, toy_source);
+            let ft = FtConfig { base, ..ft_config(2, 6, &format!("healthy_{i}")) };
+            let (r, _m2) = train_data_parallel_ft(&ft, &FaultPlan::none(), toy_model, toy_source);
+            assert_eq!(r.restarts, 0, "{m}");
+            assert!(r.ranks_lost.is_empty(), "{m}");
+            assert_eq!(r.steps_replayed, 0, "{m}");
+            assert!(r.consistent, "{m}");
+            assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits ({m})");
+            assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6 ({m})");
+            std::fs::remove_dir_all(&ft.checkpoint_dir).ok();
+        }
     }
 
     #[test]

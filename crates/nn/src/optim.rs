@@ -1288,18 +1288,20 @@ mod tests {
     /// is bound.
     #[test]
     fn steady_state_step_is_allocation_free() {
-        for (tag, build) in builders() {
-            let set = toy_set(23);
-            let mut opt = build();
-            for s in 0..3u32 {
-                seed_grads(&set, s);
+        profile::isolated_test(|| {
+            for (tag, build) in builders() {
+                let set = toy_set(23);
+                let mut opt = build();
+                for s in 0..3u32 {
+                    seed_grads(&set, s);
+                    opt.step(&set);
+                }
+                seed_grads(&set, 100);
+                let before = pool::stats();
                 opt.step(&set);
+                let delta = pool::stats().since(&before);
+                assert_eq!(delta.fresh_allocs, 0, "{tag}: optimizer step allocated");
             }
-            seed_grads(&set, 100);
-            let before = pool::stats();
-            opt.step(&set);
-            let delta = pool::stats().since(&before);
-            assert_eq!(delta.fresh_allocs, 0, "{tag}: optimizer step allocated");
-        }
+        });
     }
 }

@@ -232,49 +232,50 @@ mod tests {
     /// what the executed kernels actually report.
     #[test]
     fn spec_census_matches_executed_profile_for_tiny_deeplab() {
-        use exaclim_models::DeepLabV3Plus;
-        use exaclim_nn::{Ctx, Layer};
-        use exaclim_tensor::init::{randn, seeded_rng};
-        use exaclim_tensor::{profile, DType};
+        exaclim_tensor::profile::isolated_test(|| {
+            use exaclim_models::DeepLabV3Plus;
+            use exaclim_nn::{Ctx, Layer};
+            use exaclim_tensor::init::{randn, seeded_rng};
+            use exaclim_tensor::{profile, DType};
 
-        let cfg = DeepLabConfig::tiny(4);
-        let (h, w) = (16, 16);
-        let spec = cfg.spec(h, w);
-        let spec_census = census_from_spec(&spec, Precision::FP32);
-        let spec_conv: f64 = spec_census
-            .iter()
-            .filter(|k| {
-                matches!(k.category, WorkCategory::ForwardConv | WorkCategory::BackwardConv)
-            })
-            .map(|k| k.flops)
-            .sum();
+            let cfg = DeepLabConfig::tiny(4);
+            let (h, w) = (16, 16);
+            let spec = cfg.spec(h, w);
+            let spec_census = census_from_spec(&spec, Precision::FP32);
+            let spec_conv: f64 = spec_census
+                .iter()
+                .filter(|k| {
+                    matches!(k.category, WorkCategory::ForwardConv | WorkCategory::BackwardConv)
+                })
+                .map(|k| k.flops)
+                .sum();
 
-        let _g = profile::census_test_guard();
-        let mut rng = seeded_rng(77);
-        let mut net = DeepLabV3Plus::new(cfg, &mut rng);
-        let x = randn([1, 4, h, w], DType::F32, 1.0, &mut rng);
-        let mut ctx = Ctx::train(0);
-        profile::set_phase(profile::Phase::Forward);
-        let (_, prof) = profile::capture(|| {
-            let y = net.forward(&x, &mut ctx);
-            profile::set_phase(profile::Phase::Backward);
-            let g = exaclim_tensor::Tensor::full(y.shape().clone(), DType::F32, 1.0);
-            net.backward(&g);
+            let mut rng = seeded_rng(77);
+            let mut net = DeepLabV3Plus::new(cfg, &mut rng);
+            let x = randn([1, 4, h, w], DType::F32, 1.0, &mut rng);
+            let mut ctx = Ctx::train(0);
             profile::set_phase(profile::Phase::Forward);
+            let (_, prof) = profile::capture(|| {
+                let y = net.forward(&x, &mut ctx);
+                profile::set_phase(profile::Phase::Backward);
+                let g = exaclim_tensor::Tensor::full(y.shape().clone(), DType::F32, 1.0);
+                net.backward(&g);
+                profile::set_phase(profile::Phase::Forward);
+            });
+            let run_census = census_from_profile(&prof);
+            let run_conv: f64 = run_census
+                .iter()
+                .filter(|k| {
+                    matches!(k.category, WorkCategory::ForwardConv | WorkCategory::BackwardConv)
+                })
+                .map(|k| k.flops)
+                .sum();
+            let rel = (run_conv - spec_conv).abs() / spec_conv;
+            assert!(
+                rel < 1e-9,
+                "executed conv FLOPs {run_conv} vs symbolic {spec_conv} (rel {rel})"
+            );
         });
-        let run_census = census_from_profile(&prof);
-        let run_conv: f64 = run_census
-            .iter()
-            .filter(|k| {
-                matches!(k.category, WorkCategory::ForwardConv | WorkCategory::BackwardConv)
-            })
-            .map(|k| k.flops)
-            .sum();
-        let rel = (run_conv - spec_conv).abs() / spec_conv;
-        assert!(
-            rel < 1e-9,
-            "executed conv FLOPs {run_conv} vs symbolic {spec_conv} (rel {rel})"
-        );
     }
 
     /// Satellite pin for the fused-epilogue double-count: a
@@ -284,58 +285,59 @@ mod tests {
     /// the plain convolution's.
     #[test]
     fn fused_none_conv_census_agrees_with_spec() {
-        use exaclim_models::{ArchSpec, OpSpec};
-        use exaclim_tensor::init::{randn, seeded_rng};
-        use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo, Epilogue};
-        use exaclim_tensor::{profile, DType};
+        exaclim_tensor::profile::isolated_test(|| {
+            use exaclim_models::{ArchSpec, OpSpec};
+            use exaclim_tensor::init::{randn, seeded_rng};
+            use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo, Epilogue};
+            use exaclim_tensor::{profile, DType};
 
-        let _g = profile::census_test_guard();
-        let spec = ArchSpec {
-            name: "one-conv".into(),
-            input: (3, 8, 8),
-            ops: vec![OpSpec {
-                name: "c".into(),
-                kind: OpKind::Conv { kernel: 3, stride: 1, dilation: 1 },
-                in_ch: 3,
-                in_h: 8,
-                in_w: 8,
-                out_ch: 4,
-                out_h: 8,
-                out_w: 8,
-                weight_params: 4 * 3 * 3 * 3,
-            }],
-        };
-        let spec_fwd = census_from_spec(&spec, Precision::FP32)
-            .into_iter()
-            .find(|w| w.category == WorkCategory::ForwardConv)
-            .expect("forward conv row");
-        assert_eq!(spec_fwd.kernels, 1);
+            let spec = ArchSpec {
+                name: "one-conv".into(),
+                input: (3, 8, 8),
+                ops: vec![OpSpec {
+                    name: "c".into(),
+                    kind: OpKind::Conv { kernel: 3, stride: 1, dilation: 1 },
+                    in_ch: 3,
+                    in_h: 8,
+                    in_w: 8,
+                    out_ch: 4,
+                    out_h: 8,
+                    out_w: 8,
+                    weight_params: 4 * 3 * 3 * 3,
+                }],
+            };
+            let spec_fwd = census_from_spec(&spec, Precision::FP32)
+                .into_iter()
+                .find(|w| w.category == WorkCategory::ForwardConv)
+                .expect("forward conv row");
+            assert_eq!(spec_fwd.kernels, 1);
 
-        let mut rng = seeded_rng(9);
-        let x = randn([1, 3, 8, 8], DType::F32, 1.0, &mut rng);
-        let w = randn([4, 3, 3, 3], DType::F32, 0.5, &mut rng);
-        profile::set_phase(profile::Phase::Forward);
-        let (_, prof) = profile::capture(|| {
-            let _ = ops::conv2d_forward_fused(
-                &x,
-                &w,
-                None,
-                Epilogue::None,
-                Conv2dParams::padded(1),
-                ConvAlgo::Direct,
+            let mut rng = seeded_rng(9);
+            let x = randn([1, 3, 8, 8], DType::F32, 1.0, &mut rng);
+            let w = randn([4, 3, 3, 3], DType::F32, 0.5, &mut rng);
+            profile::set_phase(profile::Phase::Forward);
+            let (_, prof) = profile::capture(|| {
+                let _ = ops::conv2d_forward_fused(
+                    &x,
+                    &w,
+                    None,
+                    Epilogue::None,
+                    Conv2dParams::padded(1),
+                    ConvAlgo::Direct,
+                );
+            });
+            let run_fwd = census_from_profile(&prof)
+                .into_iter()
+                .find(|w| w.category == WorkCategory::ForwardConv)
+                .expect("forward conv row");
+            assert_eq!(run_fwd.kernels, spec_fwd.kernels, "one kernel, not a fused+plain pair");
+            assert!(
+                (run_fwd.flops - spec_fwd.flops).abs() < 1e-6,
+                "executed {} vs symbolic {} FLOPs",
+                run_fwd.flops,
+                spec_fwd.flops
             );
         });
-        let run_fwd = census_from_profile(&prof)
-            .into_iter()
-            .find(|w| w.category == WorkCategory::ForwardConv)
-            .expect("forward conv row");
-        assert_eq!(run_fwd.kernels, spec_fwd.kernels, "one kernel, not a fused+plain pair");
-        assert!(
-            (run_fwd.flops - spec_fwd.flops).abs() < 1e-6,
-            "executed {} vs symbolic {} FLOPs",
-            run_fwd.flops,
-            spec_fwd.flops
-        );
     }
 
     #[test]

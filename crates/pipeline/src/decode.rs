@@ -189,31 +189,33 @@ mod tests {
 
     #[test]
     fn decode_is_allocation_free_once_pool_is_warm() {
-        pool::set_enabled(true);
-        let ds = tiny();
-        let stats = ChannelStats::estimate(&ds, 1).expect("stats");
-        let stored = ds.sample(0).expect("sample");
-        let run = || {
-            decode(
-                0,
-                &stored.fields,
-                &stored.labels,
-                &[0, 1, 2, 7],
-                16,
-                ds.h,
-                ds.w,
-                &stats,
-                &[1.0, 2.0, 3.0],
-                DType::F32,
-            )
-        };
-        drop(run()); // warm the size classes
-        let f32_before = pool::stats();
-        let byte_before = pool::byte_stats();
-        for _ in 0..8 {
-            drop(run());
-        }
-        assert_eq!(pool::stats().since(&f32_before).fresh_allocs, 0, "f32 path allocated");
-        assert_eq!(pool::byte_stats().since(&byte_before).fresh_allocs, 0, "label path allocated");
+        exaclim_tensor::profile::isolated_test(|| {
+            pool::set_enabled(true);
+            let ds = tiny();
+            let stats = ChannelStats::estimate(&ds, 1).expect("stats");
+            let stored = ds.sample(0).expect("sample");
+            let run = || {
+                decode(
+                    0,
+                    &stored.fields,
+                    &stored.labels,
+                    &[0, 1, 2, 7],
+                    16,
+                    ds.h,
+                    ds.w,
+                    &stats,
+                    &[1.0, 2.0, 3.0],
+                    DType::F32,
+                )
+            };
+            drop(run()); // warm the size classes
+            let f32_before = pool::stats();
+            let byte_before = pool::byte_stats();
+            for _ in 0..8 {
+                drop(run());
+            }
+            assert_eq!(pool::stats().since(&f32_before).fresh_allocs, 0, "f32 path allocated");
+            assert_eq!(pool::byte_stats().since(&byte_before).fresh_allocs, 0, "label path allocated");
+        });
     }
 }

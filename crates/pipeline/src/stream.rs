@@ -464,37 +464,39 @@ mod tests {
 
     #[test]
     fn steady_state_stream_makes_no_fresh_allocations() {
-        exaclim_tensor::pool::set_enabled(true);
-        let ds = chunked_dataset(12);
-        let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-        let mut cfg = stream_cfg(2, 4);
-        cfg.augment = true; // the augmented path must be clean too
-        cfg.meridional = vec![2, 4];
-        let mut s = StreamingIngest::start(ds, (0..12).collect(), norm, cfg);
-        // Warm-up epoch populates the free lists (depth+in-flight buffers).
-        // The high water must exceed the measured window's transient peak
-        // (full channels + reader in-flight + consumer-held), so: let the
-        // readers fill every slot, then hold a few samples alive while
-        // they refill the freed slots.
-        for _ in 0..24 {
-            drop(s.next_sample());
-        }
-        std::thread::sleep(Duration::from_millis(40));
-        let held: Vec<_> = (0..4).map(|_| s.next_sample()).collect();
-        std::thread::sleep(Duration::from_millis(40));
-        drop(held);
-        std::thread::sleep(Duration::from_millis(20));
-        let f32_before = exaclim_tensor::pool::stats();
-        let byte_before = exaclim_tensor::pool::byte_stats();
-        for _ in 0..24 {
-            drop(s.next_sample());
-        }
-        // Workers run ahead of the consumer, so allow the counters to be
-        // read only after the stream is quiesced.
-        drop(s);
-        let f32_delta = exaclim_tensor::pool::stats().since(&f32_before);
-        let byte_delta = exaclim_tensor::pool::byte_stats().since(&byte_before);
-        assert_eq!(f32_delta.fresh_allocs, 0, "steady-state f32 allocations");
-        assert_eq!(byte_delta.fresh_allocs, 0, "steady-state label allocations");
+        exaclim_tensor::profile::isolated_test(|| {
+            exaclim_tensor::pool::set_enabled(true);
+            let ds = chunked_dataset(12);
+            let norm = ChannelStats::estimate(&ds, 2).expect("stats");
+            let mut cfg = stream_cfg(2, 4);
+            cfg.augment = true; // the augmented path must be clean too
+            cfg.meridional = vec![2, 4];
+            let mut s = StreamingIngest::start(ds, (0..12).collect(), norm, cfg);
+            // Warm-up epoch populates the free lists (depth+in-flight buffers).
+            // The high water must exceed the measured window's transient peak
+            // (full channels + reader in-flight + consumer-held), so: let the
+            // readers fill every slot, then hold a few samples alive while
+            // they refill the freed slots.
+            for _ in 0..24 {
+                drop(s.next_sample());
+            }
+            std::thread::sleep(Duration::from_millis(40));
+            let held: Vec<_> = (0..4).map(|_| s.next_sample()).collect();
+            std::thread::sleep(Duration::from_millis(40));
+            drop(held);
+            std::thread::sleep(Duration::from_millis(20));
+            let f32_before = exaclim_tensor::pool::stats();
+            let byte_before = exaclim_tensor::pool::byte_stats();
+            for _ in 0..24 {
+                drop(s.next_sample());
+            }
+            // Workers run ahead of the consumer, so allow the counters to be
+            // read only after the stream is quiesced.
+            drop(s);
+            let f32_delta = exaclim_tensor::pool::stats().since(&f32_before);
+            let byte_delta = exaclim_tensor::pool::byte_stats().since(&byte_before);
+            assert_eq!(f32_delta.fresh_allocs, 0, "steady-state f32 allocations");
+            assert_eq!(byte_delta.fresh_allocs, 0, "steady-state label allocations");
+        });
     }
 }

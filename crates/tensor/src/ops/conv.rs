@@ -647,23 +647,24 @@ mod tests {
 
     #[test]
     fn census_records_forward_and_backward() {
-        let _g = crate::profile::census_test_guard();
-        let (x, w) = small_case();
-        crate::profile::set_phase(crate::profile::Phase::Forward);
-        let (y, prof) = crate::profile::capture(|| {
-            let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Auto);
-            crate::profile::set_phase(crate::profile::Phase::Backward);
-            let _ = conv2d_backward(&x, &w, &y, Conv2dParams::padded(1));
+        crate::profile::isolated_test(|| {
+            let (x, w) = small_case();
             crate::profile::set_phase(crate::profile::Phase::Forward);
-            y
+            let (y, prof) = crate::profile::capture(|| {
+                let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Auto);
+                crate::profile::set_phase(crate::profile::Phase::Backward);
+                let _ = conv2d_backward(&x, &w, &y, Conv2dParams::padded(1));
+                crate::profile::set_phase(crate::profile::Phase::Forward);
+                y
+            });
+            let expected = conv_flops(2, 4, 3, 3, 3, 6, 5);
+            let cats = prof.by_category();
+            let fwd = cats.iter().find(|(c, _)| *c == crate::profile::Category::ForwardConv).unwrap().1;
+            let bwd = cats.iter().find(|(c, _)| *c == crate::profile::Category::BackwardConv).unwrap().1;
+            assert_eq!(fwd.flops, expected);
+            assert_eq!(bwd.flops, 2 * expected, "data + weight passes");
+            assert_eq!(y.shape().dims(), &[2, 4, 6, 5]);
         });
-        let expected = conv_flops(2, 4, 3, 3, 3, 6, 5);
-        let cats = prof.by_category();
-        let fwd = cats.iter().find(|(c, _)| *c == crate::profile::Category::ForwardConv).unwrap().1;
-        let bwd = cats.iter().find(|(c, _)| *c == crate::profile::Category::BackwardConv).unwrap().1;
-        assert_eq!(fwd.flops, expected);
-        assert_eq!(bwd.flops, 2 * expected, "data + weight passes");
-        assert_eq!(y.shape().dims(), &[2, 4, 6, 5]);
     }
 
     #[test]

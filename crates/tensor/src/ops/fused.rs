@@ -136,26 +136,27 @@ mod tests {
 
     #[test]
     fn fusion_reduces_kernels_and_bytes() {
-        let _g = crate::profile::census_test_guard();
-        let (x, w, b) = setup();
-        let p = Conv2dParams::padded(1);
-        crate::profile::set_phase(crate::profile::Phase::Forward);
-        let ((), unfused) = crate::profile::capture(|| {
-            let mut y = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
-            add_bias_nchw(&mut y, &b);
-            let _ = relu_forward(&y);
+        crate::profile::isolated_test(|| {
+            let (x, w, b) = setup();
+            let p = Conv2dParams::padded(1);
+            crate::profile::set_phase(crate::profile::Phase::Forward);
+            let ((), unfused) = crate::profile::capture(|| {
+                let mut y = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
+                add_bias_nchw(&mut y, &b);
+                let _ = relu_forward(&y);
+            });
+            let ((), fused) = crate::profile::capture(|| {
+                let _ = conv2d_forward_fused(&x, &w, Some(&b), Epilogue::BiasRelu, p, ConvAlgo::Direct);
+            });
+            assert_eq!(unfused.total_kernels(), 3);
+            assert_eq!(fused.total_kernels(), 1, "one fused launch");
+            assert!(
+                fused.total_bytes() < unfused.total_bytes(),
+                "fusion avoids intermediate round trips: {} vs {}",
+                fused.total_bytes(),
+                unfused.total_bytes()
+            );
         });
-        let ((), fused) = crate::profile::capture(|| {
-            let _ = conv2d_forward_fused(&x, &w, Some(&b), Epilogue::BiasRelu, p, ConvAlgo::Direct);
-        });
-        assert_eq!(unfused.total_kernels(), 3);
-        assert_eq!(fused.total_kernels(), 1, "one fused launch");
-        assert!(
-            fused.total_bytes() < unfused.total_bytes(),
-            "fusion avoids intermediate round trips: {} vs {}",
-            fused.total_bytes(),
-            unfused.total_bytes()
-        );
     }
 
     #[test]
@@ -177,23 +178,24 @@ mod tests {
     /// record stacked on top of (or in place of) the inner conv's.
     #[test]
     fn none_epilogue_census_matches_plain_conv_exactly() {
-        let _g = crate::profile::census_test_guard();
-        let (x, w, _) = setup();
-        let p = Conv2dParams::padded(1);
-        crate::profile::set_phase(crate::profile::Phase::Forward);
-        let ((), plain) = crate::profile::capture(|| {
-            let _ = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
+        crate::profile::isolated_test(|| {
+            let (x, w, _) = setup();
+            let p = Conv2dParams::padded(1);
+            crate::profile::set_phase(crate::profile::Phase::Forward);
+            let ((), plain) = crate::profile::capture(|| {
+                let _ = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
+            });
+            let ((), fused) = crate::profile::capture(|| {
+                let _ = conv2d_forward_fused(&x, &w, None, Epilogue::None, p, ConvAlgo::Direct);
+            });
+            assert_eq!(plain.total_kernels(), 1);
+            assert_eq!(fused.total_kernels(), 1, "None epilogue must not add a second record");
+            let (pr, fr) = (&plain.records[0], &fused.records[0]);
+            assert_eq!(fr.name, pr.name, "canonical conv2d_fwd record");
+            assert_eq!(fr.flops, pr.flops);
+            assert_eq!(fr.bytes_read, pr.bytes_read);
+            assert_eq!(fr.bytes_written, pr.bytes_written);
         });
-        let ((), fused) = crate::profile::capture(|| {
-            let _ = conv2d_forward_fused(&x, &w, None, Epilogue::None, p, ConvAlgo::Direct);
-        });
-        assert_eq!(plain.total_kernels(), 1);
-        assert_eq!(fused.total_kernels(), 1, "None epilogue must not add a second record");
-        let (pr, fr) = (&plain.records[0], &fused.records[0]);
-        assert_eq!(fr.name, pr.name, "canonical conv2d_fwd record");
-        assert_eq!(fr.flops, pr.flops);
-        assert_eq!(fr.bytes_read, pr.bytes_read);
-        assert_eq!(fr.bytes_written, pr.bytes_written);
     }
 
     /// The old implementation suspended profiling *globally* around the
@@ -202,30 +204,31 @@ mod tests {
     /// thread-local: every launch must land in the census.
     #[test]
     fn concurrent_fused_convs_all_record() {
-        let _g = crate::profile::census_test_guard();
-        let (x, w, b) = setup();
-        let p = Conv2dParams::padded(1);
-        crate::profile::set_phase(crate::profile::Phase::Forward);
-        let ((), prof) = crate::profile::capture(|| {
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        for _ in 0..8 {
-                            let _ = conv2d_forward_fused(
-                                &x,
-                                &w,
-                                Some(&b),
-                                Epilogue::BiasRelu,
-                                p,
-                                ConvAlgo::Direct,
-                            );
-                        }
-                    });
-                }
+        crate::profile::isolated_test(|| {
+            let (x, w, b) = setup();
+            let p = Conv2dParams::padded(1);
+            crate::profile::set_phase(crate::profile::Phase::Forward);
+            let ((), prof) = crate::profile::capture(|| {
+                std::thread::scope(|scope| {
+                    for _ in 0..4 {
+                        scope.spawn(|| {
+                            for _ in 0..8 {
+                                let _ = conv2d_forward_fused(
+                                    &x,
+                                    &w,
+                                    Some(&b),
+                                    Epilogue::BiasRelu,
+                                    p,
+                                    ConvAlgo::Direct,
+                                );
+                            }
+                        });
+                    }
+                });
             });
+            assert_eq!(prof.total_kernels(), 32, "no fused launch may vanish from the census");
+            assert!(prof.records.iter().all(|r| r.name == "conv2d_fwd_fused"));
         });
-        assert_eq!(prof.total_kernels(), 32, "no fused launch may vanish from the census");
-        assert!(prof.records.iter().all(|r| r.name == "conv2d_fwd_fused"));
     }
 
     #[test]

@@ -828,43 +828,45 @@ impl Workspace {
 mod tests {
     use super::*;
 
-    // The pool and its counters are process-global; serialize these tests.
-    static GUARD: Mutex<()> = Mutex::new(());
+    // The pool, its enable switch and its counters are process-global:
+    // each test that reads or toggles them runs in a process of its own.
 
     #[test]
     fn round_trip_reuses_buffer() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let v = take_zeroed(1024);
-        let cap = v.capacity();
-        recycle(v);
-        let before = stats();
-        let w = take_zeroed(900); // same class (1024): must reuse
-        assert_eq!(w.len(), 900);
-        assert_eq!(w.capacity(), cap);
-        let after = stats();
-        assert_eq!(after.pool_served - before.pool_served, 1);
-        assert_eq!(after.fresh_allocs, before.fresh_allocs);
-        recycle(w);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let v = take_zeroed(1024);
+            let cap = v.capacity();
+            recycle(v);
+            let before = stats();
+            let w = take_zeroed(900); // same class (1024): must reuse
+            assert_eq!(w.len(), 900);
+            assert_eq!(w.capacity(), cap);
+            let after = stats();
+            assert_eq!(after.pool_served - before.pool_served, 1);
+            assert_eq!(after.fresh_allocs, before.fresh_allocs);
+            recycle(w);
+        });
     }
 
     #[test]
     fn pooled_buffers_are_fully_initialized() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let mut v = take_filled(64, 7.0);
-        v.iter_mut().for_each(|x| *x = f32::NAN);
-        recycle(v);
-        let w = take_filled(64, 3.0);
-        assert!(w.iter().all(|&x| x == 3.0), "recycled garbage must never leak");
-        let z = {
-            recycle(w);
-            take_zeroed(64)
-        };
-        assert!(z.iter().all(|&x| x == 0.0));
-        recycle(z);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let mut v = take_filled(64, 7.0);
+            v.iter_mut().for_each(|x| *x = f32::NAN);
+            recycle(v);
+            let w = take_filled(64, 3.0);
+            assert!(w.iter().all(|&x| x == 3.0), "recycled garbage must never leak");
+            let z = {
+                recycle(w);
+                take_zeroed(64)
+            };
+            assert!(z.iter().all(|&x| x == 0.0));
+            recycle(z);
+        });
     }
 
     #[test]
@@ -887,169 +889,179 @@ mod tests {
 
     #[test]
     fn disabled_pool_always_allocates_fresh() {
-        let _g = GUARD.lock();
-        set_enabled(false);
-        let v = take_zeroed(512);
-        recycle(v);
-        let before = stats();
-        let w = take_zeroed(512);
-        let after = stats();
-        assert_eq!(after.fresh_allocs - before.fresh_allocs, 1);
-        assert_eq!(after.pool_served, before.pool_served);
-        recycle(w);
-        set_enabled(true);
+        crate::profile::isolated_test(|| {
+            set_enabled(false);
+            let v = take_zeroed(512);
+            recycle(v);
+            let before = stats();
+            let w = take_zeroed(512);
+            let after = stats();
+            assert_eq!(after.fresh_allocs - before.fresh_allocs, 1);
+            assert_eq!(after.pool_served, before.pool_served);
+            recycle(w);
+            set_enabled(true);
+        });
     }
 
     #[test]
     fn high_water_tracks_outstanding() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let before = stats();
-        let a = take_zeroed(1 << 16);
-        let b = take_zeroed(1 << 16);
-        let mid = stats();
-        assert!(mid.high_water_bytes >= before.outstanding_bytes + (2 << 16) * 4);
-        recycle(a);
-        recycle(b);
-        let after = stats();
-        assert!(after.outstanding_bytes <= mid.outstanding_bytes);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let before = stats();
+            let a = take_zeroed(1 << 16);
+            let b = take_zeroed(1 << 16);
+            let mid = stats();
+            assert!(mid.high_water_bytes >= before.outstanding_bytes + (2 << 16) * 4);
+            recycle(a);
+            recycle(b);
+            let after = stats();
+            assert!(after.outstanding_bytes <= mid.outstanding_bytes);
+        });
     }
 
     #[test]
     fn retention_is_bounded() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let bufs: Vec<Vec<f32>> = (0..MAX_PER_CLASS + 5).map(|_| vec![0.0f32; 256]).collect();
-        let before = stats();
-        for b in bufs {
-            recycle(b);
-        }
-        let after = stats();
-        assert_eq!(after.recycled - before.recycled, MAX_PER_CLASS as u64);
-        assert_eq!(after.dropped - before.dropped, 5);
-        trim();
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let bufs: Vec<Vec<f32>> = (0..MAX_PER_CLASS + 5).map(|_| vec![0.0f32; 256]).collect();
+            let before = stats();
+            for b in bufs {
+                recycle(b);
+            }
+            let after = stats();
+            assert_eq!(after.recycled - before.recycled, MAX_PER_CLASS as u64);
+            assert_eq!(after.dropped - before.dropped, 5);
+            trim();
+        });
     }
 
     #[test]
     fn poolbuf_drop_recycles_and_clone_copies() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let buf = PoolBuf::from_vec(take_copy(&[1.0, 2.0, 3.0]));
-        let copy = buf.clone();
-        assert_eq!(buf, copy);
-        let before = stats();
-        drop(buf);
-        let after = stats();
-        assert_eq!(after.recycled - before.recycled, 1);
-        assert_eq!(copy.as_slice(), &[1.0, 2.0, 3.0]);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let buf = PoolBuf::from_vec(take_copy(&[1.0, 2.0, 3.0]));
+            let copy = buf.clone();
+            assert_eq!(buf, copy);
+            let before = stats();
+            drop(buf);
+            let after = stats();
+            assert_eq!(after.recycled - before.recycled, 1);
+            assert_eq!(copy.as_slice(), &[1.0, 2.0, 3.0]);
+        });
     }
 
     #[test]
     fn snapshot_reports_per_class_hits_and_misses() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let before = snapshot();
-        // Miss (nothing resident after trim), recycle, then hit.
-        let v = take_zeroed(600); // class 10 (1024 elems)
-        recycle(v);
-        let w = take_zeroed(700); // same class: must hit
-        let after = snapshot().since(&before);
-        let c10 = after.classes.iter().find(|c| c.class == 10).expect("class 10 active");
-        assert_eq!(c10.max_elems, 1024);
-        assert!(c10.fresh >= 1, "first request misses");
-        assert!(c10.served >= 1, "second request hits");
-        assert!(c10.recycled >= 1);
-        assert!(c10.resident_high >= 1);
-        assert!(c10.hit_fraction() > 0.0 && c10.hit_fraction() < 1.0);
-        recycle(w);
-        // The later absolute resident count is visible after the recycle.
-        let now = snapshot();
-        let c10 = now.classes.iter().find(|c| c.class == 10).expect("class 10");
-        assert!(c10.resident >= 1);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let before = snapshot();
+            // Miss (nothing resident after trim), recycle, then hit.
+            let v = take_zeroed(600); // class 10 (1024 elems)
+            recycle(v);
+            let w = take_zeroed(700); // same class: must hit
+            let after = snapshot().since(&before);
+            let c10 = after.classes.iter().find(|c| c.class == 10).expect("class 10 active");
+            assert_eq!(c10.max_elems, 1024);
+            assert!(c10.fresh >= 1, "first request misses");
+            assert!(c10.served >= 1, "second request hits");
+            assert!(c10.recycled >= 1);
+            assert!(c10.resident_high >= 1);
+            assert!(c10.hit_fraction() > 0.0 && c10.hit_fraction() < 1.0);
+            recycle(w);
+            // The later absolute resident count is visible after the recycle.
+            let now = snapshot();
+            let c10 = now.classes.iter().find(|c| c.class == 10).expect("class 10");
+            assert!(c10.resident >= 1);
+        });
     }
 
     #[test]
     fn snapshot_is_consistent_with_global_stats() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let before = snapshot();
-        let bufs: Vec<Vec<f32>> = (0..4).map(|i| take_zeroed(128 << i)).collect();
-        for b in bufs {
-            recycle(b);
-        }
-        let d = snapshot().since(&before);
-        let class_requests: u64 = d.classes.iter().map(|c| c.served + c.fresh).sum();
-        assert_eq!(class_requests, d.totals.total_requests(), "per-class counters cover every request");
-        let class_recycles: u64 = d.classes.iter().map(|c| c.recycled).sum();
-        assert_eq!(class_recycles, d.totals.recycled);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let before = snapshot();
+            let bufs: Vec<Vec<f32>> = (0..4).map(|i| take_zeroed(128 << i)).collect();
+            for b in bufs {
+                recycle(b);
+            }
+            let d = snapshot().since(&before);
+            let class_requests: u64 = d.classes.iter().map(|c| c.served + c.fresh).sum();
+            assert_eq!(class_requests, d.totals.total_requests(), "per-class counters cover every request");
+            let class_recycles: u64 = d.classes.iter().map(|c| c.recycled).sum();
+            assert_eq!(class_recycles, d.totals.recycled);
+        });
     }
 
     #[test]
     fn byte_pool_round_trip_reuses_buffer() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let v = take_bytes_zeroed(512);
-        assert!(v.iter().all(|&b| b == 0));
-        let cap = v.capacity();
-        recycle_bytes(v);
-        let before = byte_stats();
-        let w = take_bytes_copy(&[7u8; 400]); // same class (512): must reuse
-        assert_eq!(w.len(), 400);
-        assert_eq!(w.capacity(), cap);
-        let after = byte_stats();
-        assert_eq!(after.pool_served - before.pool_served, 1);
-        assert_eq!(after.fresh_allocs, before.fresh_allocs);
-        recycle_bytes(w);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let v = take_bytes_zeroed(512);
+            assert!(v.iter().all(|&b| b == 0));
+            let cap = v.capacity();
+            recycle_bytes(v);
+            let before = byte_stats();
+            let w = take_bytes_copy(&[7u8; 400]); // same class (512): must reuse
+            assert_eq!(w.len(), 400);
+            assert_eq!(w.capacity(), cap);
+            let after = byte_stats();
+            assert_eq!(after.pool_served - before.pool_served, 1);
+            assert_eq!(after.fresh_allocs, before.fresh_allocs);
+            recycle_bytes(w);
+        });
     }
 
     #[test]
     fn pooled_bytes_drop_recycles() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let b = PooledBytes::copy_of(&[1, 2, 3]);
-        let c = b.clone();
-        assert_eq!(b, c);
-        assert_eq!(b, [1u8, 2, 3][..]);
-        let before = byte_stats();
-        drop(b);
-        let after = byte_stats();
-        assert_eq!(after.recycled - before.recycled, 1);
-        assert_eq!(c.as_slice(), &[1, 2, 3]);
+        crate::profile::isolated_test(|| {
+            set_enabled(true);
+            trim();
+            let b = PooledBytes::copy_of(&[1, 2, 3]);
+            let c = b.clone();
+            assert_eq!(b, c);
+            assert_eq!(b, [1u8, 2, 3][..]);
+            let before = byte_stats();
+            drop(b);
+            let after = byte_stats();
+            assert_eq!(after.recycled - before.recycled, 1);
+            assert_eq!(c.as_slice(), &[1, 2, 3]);
+        });
     }
 
     #[test]
     fn disabled_pool_drops_byte_buffers() {
-        let _g = GUARD.lock();
-        set_enabled(false);
-        let v = take_bytes_zeroed(64);
-        let before = byte_stats();
-        recycle_bytes(v);
-        let w = take_bytes_zeroed(64);
-        let after = byte_stats();
-        assert_eq!(after.dropped - before.dropped, 1);
-        assert_eq!(after.fresh_allocs - before.fresh_allocs, 1);
-        recycle_bytes(w);
-        set_enabled(true);
+        crate::profile::isolated_test(|| {
+            set_enabled(false);
+            let v = take_bytes_zeroed(64);
+            let before = byte_stats();
+            recycle_bytes(v);
+            let w = take_bytes_zeroed(64);
+            let after = byte_stats();
+            assert_eq!(after.dropped - before.dropped, 1);
+            assert_eq!(after.fresh_allocs - before.fresh_allocs, 1);
+            recycle_bytes(w);
+            set_enabled(true);
+        });
     }
 
     #[test]
     fn workspace_telemetry_counts() {
-        let _g = GUARD.lock();
-        let mut ws = Workspace::new();
-        let t = Tensor::zeros([4, 4], DType::F32);
-        let c = ws.cache(&t);
-        assert_eq!(c.as_slice(), t.as_slice());
-        let s = ws.scratch(128);
-        assert_eq!(s.len(), 128);
-        ws.release(s);
-        assert_eq!(ws.cache_telemetry(), (1, 64));
-        assert_eq!(ws.scratch_telemetry(), (1, 512));
+        crate::profile::isolated_test(|| {
+            let mut ws = Workspace::new();
+            let t = Tensor::zeros([4, 4], DType::F32);
+            let c = ws.cache(&t);
+            assert_eq!(c.as_slice(), t.as_slice());
+            let s = ws.scratch(128);
+            assert_eq!(s.len(), 128);
+            ws.release(s);
+            assert_eq!(ws.cache_telemetry(), (1, 64));
+            assert_eq!(ws.scratch_telemetry(), (1, 512));
+        });
     }
 }

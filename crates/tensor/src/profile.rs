@@ -433,13 +433,37 @@ pub fn record_span(rank: usize, step: usize, kind: SpanKind, started: Instant, d
     TIMELINE.lock().push(SpanRecord { rank, step, kind, start_s, dur_s });
 }
 
-/// Serializes tests that exercise the global census recorder (parallel
-/// test threads would interleave records and corrupt exact-count
-/// assertions). Test-support only.
+/// Runs a test body that asserts exact figures of process-wide
+/// instruments — the kernel census and its phase, the buffer-pool
+/// statistics — as the only test in a process of its own.
+///
+/// The test harness runs tests on parallel threads of one process, so the
+/// kernels and allocations of any concurrently running test land in the
+/// same counters. Called from a `#[test]`, this re-runs that one test
+/// (`<name> --exact`) in a child process of the same test binary and
+/// fails unless the child ran it and it passed; the child runs `body`.
+/// When the harness runs the test on its main thread (one test at a
+/// time), `body` runs in place. Test-support only.
 #[doc(hidden)]
-pub fn census_test_guard() -> parking_lot::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
+pub fn isolated_test(body: impl FnOnce()) {
+    const CHILD: &str = "ISOLATED_TEST_CHILD";
+    let thread = std::thread::current();
+    let name = match thread.name() {
+        Some(name) if name != "main" && std::env::var_os(CHILD).is_none() => name,
+        _ => return body(),
+    };
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("spawn the isolated test process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("test result: ok. 1 passed"),
+        "isolated run of {name} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[cfg(test)]
@@ -448,84 +472,89 @@ mod tests {
 
     #[test]
     fn capture_collects_records() {
-        let _g = census_test_guard();
-        set_phase(Phase::Forward);
-        let ((), prof) = capture(|| {
-            record(KernelKind::Conv, "k1", 100, 10, 20);
-            set_phase(Phase::Backward);
-            record(KernelKind::Conv, "k2", 200, 30, 40);
-            record(KernelKind::Pointwise, "k3", 5, 1, 1);
+        isolated_test(|| {
+            set_phase(Phase::Forward);
+            let ((), prof) = capture(|| {
+                record(KernelKind::Conv, "k1", 100, 10, 20);
+                set_phase(Phase::Backward);
+                record(KernelKind::Conv, "k2", 200, 30, 40);
+                record(KernelKind::Pointwise, "k3", 5, 1, 1);
+            });
+            assert_eq!(prof.total_kernels(), 3);
+            assert_eq!(prof.total_flops(), 305);
+            assert_eq!(prof.total_bytes(), 102);
+            let cats = prof.by_category();
+            let get = |c: Category| cats.iter().find(|(cc, _)| *cc == c).unwrap().1;
+            assert_eq!(get(Category::ForwardConv).flops, 100);
+            assert_eq!(get(Category::BackwardConv).flops, 200);
+            assert_eq!(get(Category::BackwardPointwise).kernels, 1);
+            set_phase(Phase::Forward);
         });
-        assert_eq!(prof.total_kernels(), 3);
-        assert_eq!(prof.total_flops(), 305);
-        assert_eq!(prof.total_bytes(), 102);
-        let cats = prof.by_category();
-        let get = |c: Category| cats.iter().find(|(cc, _)| *cc == c).unwrap().1;
-        assert_eq!(get(Category::ForwardConv).flops, 100);
-        assert_eq!(get(Category::BackwardConv).flops, 200);
-        assert_eq!(get(Category::BackwardPointwise).kernels, 1);
-        set_phase(Phase::Forward);
     }
 
     #[test]
     fn disabled_recording_is_dropped() {
-        let _g = census_test_guard();
-        let before = enabled();
-        assert!(!before, "no census should be active between tests");
-        record(KernelKind::Conv, "ignored", 1, 1, 1);
-        let ((), prof) = capture(|| {});
-        assert_eq!(prof.total_kernels(), 0);
+        isolated_test(|| {
+            let before = enabled();
+            assert!(!before, "no census should be active between tests");
+            record(KernelKind::Conv, "ignored", 1, 1, 1);
+            let ((), prof) = capture(|| {});
+            assert_eq!(prof.total_kernels(), 0);
+        });
     }
 
     #[test]
     fn optimizer_phase_maps_pointwise_to_optimizer() {
-        let _g = census_test_guard();
-        set_phase(Phase::Optimizer);
-        let ((), prof) = capture(|| {
-            record(KernelKind::Pointwise, "sgd", 10, 4, 4);
+        isolated_test(|| {
+            set_phase(Phase::Optimizer);
+            let ((), prof) = capture(|| {
+                record(KernelKind::Pointwise, "sgd", 10, 4, 4);
+            });
+            assert_eq!(prof.records[0].category, Category::Optimizer);
+            set_phase(Phase::Forward);
         });
-        assert_eq!(prof.records[0].category, Category::Optimizer);
-        set_phase(Phase::Forward);
     }
 
     #[test]
     fn alloc_traffic_covers_the_captured_region_only() {
-        let _g = census_test_guard();
-        // Traffic outside the capture must not leak into the column.
-        let _warmup = crate::tensor::Tensor::zeros([64], crate::tensor::DType::F32);
-        let ((), prof) = capture(|| {
-            let a = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
-            drop(a);
-            let _b = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
+        isolated_test(|| {
+            // Traffic outside the capture must not leak into the column.
+            let _warmup = crate::tensor::Tensor::zeros([64], crate::tensor::DType::F32);
+            let ((), prof) = capture(|| {
+                let a = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
+                drop(a);
+                let _b = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
+            });
+            assert_eq!(prof.alloc.total_allocs(), 2, "two tensor allocations in region");
+            assert!(
+                prof.alloc.bytes_fresh + prof.alloc.bytes_reused >= 2 * 32 * 32 * 4,
+                "both requests accounted by bytes"
+            );
+            let ((), empty) = capture(|| {});
+            assert_eq!(empty.alloc.total_allocs(), 0);
         });
-        assert_eq!(prof.alloc.total_allocs(), 2, "two tensor allocations in region");
-        assert!(
-            prof.alloc.bytes_fresh + prof.alloc.bytes_reused >= 2 * 32 * 32 * 4,
-            "both requests accounted by bytes"
-        );
-        let ((), empty) = capture(|| {});
-        assert_eq!(empty.alloc.total_allocs(), 0);
     }
 
     #[test]
     fn concurrent_records_all_land_in_the_census() {
-        let _g = census_test_guard();
-        set_phase(Phase::Forward);
-        let ((), prof) = capture(|| {
-            let threads: Vec<_> = (0..4)
-                .map(|_| {
-                    std::thread::spawn(|| {
-                        for _ in 0..50 {
-                            record(KernelKind::Pointwise, "worker", 2, 1, 1);
-                        }
+        isolated_test(|| {
+            set_phase(Phase::Forward);
+            let ((), prof) = capture(|| {
+                let threads: Vec<_> = (0..4)
+                    .map(|_| {
+                        std::thread::spawn(|| {
+                            for _ in 0..50 {
+                                record(KernelKind::Pointwise, "worker", 2, 1, 1);
+                            }
+                        })
                     })
-                })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
+                    .collect();
+                for t in threads {
+                    t.join().unwrap();
+                }
+            });
+            assert_eq!(prof.total_kernels(), 200);
+            assert_eq!(prof.total_flops(), 400);
         });
-        assert_eq!(prof.total_kernels(), 200);
-        assert_eq!(prof.total_flops(), 400);
     }
 }

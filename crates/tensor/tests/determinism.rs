@@ -140,22 +140,26 @@ fn misc_kernels_bit_identical_across_widths() {
 
 #[test]
 fn census_totals_identical_across_widths() {
-    let (x, w) = conv_case();
-    let (p1, p4) = at_widths(|| {
-        profile::set_phase(profile::Phase::Forward);
-        let ((), prof) = profile::capture(|| {
-            let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Im2colGemm);
-            profile::set_phase(profile::Phase::Backward);
-            let _ = conv2d_backward(&x, &w, &y, Conv2dParams::padded(1));
+    // The census is process-wide: run alone so no other test's kernels
+    // land in it.
+    profile::isolated_test(|| {
+        let (x, w) = conv_case();
+        let (p1, p4) = at_widths(|| {
             profile::set_phase(profile::Phase::Forward);
+            let ((), prof) = profile::capture(|| {
+                let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Im2colGemm);
+                profile::set_phase(profile::Phase::Backward);
+                let _ = conv2d_backward(&x, &w, &y, Conv2dParams::padded(1));
+                profile::set_phase(profile::Phase::Forward);
+            });
+            prof
         });
-        prof
+        assert_eq!(p1.total_kernels(), p4.total_kernels(), "kernel counts differ");
+        assert_eq!(p1.total_flops(), p4.total_flops(), "FLOP totals differ");
+        assert_eq!(p1.total_bytes(), p4.total_bytes(), "byte totals differ");
+        for ((c1, t1), (c4, t4)) in p1.by_category().iter().zip(p4.by_category().iter()) {
+            assert_eq!(c1, c4);
+            assert_eq!(t1, t4, "category {c1:?} totals differ");
+        }
     });
-    assert_eq!(p1.total_kernels(), p4.total_kernels(), "kernel counts differ");
-    assert_eq!(p1.total_flops(), p4.total_flops(), "FLOP totals differ");
-    assert_eq!(p1.total_bytes(), p4.total_bytes(), "byte totals differ");
-    for ((c1, t1), (c4, t4)) in p1.by_category().iter().zip(p4.by_category().iter()) {
-        assert_eq!(c1, c4);
-        assert_eq!(t1, t4, "category {c1:?} totals differ");
-    }
 }

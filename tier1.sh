@@ -8,6 +8,12 @@ cargo build --workspace --examples
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# The end-to-end benchmark is a package of its own (e2ebench/) built
+# against crates/ through path dependencies: a crates/ API change that
+# breaks it, or one that would rewrite its lockfile, fails here.
+cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
+cargo test --release --offline --locked --manifest-path e2ebench/Cargo.toml
+
 # Kernel results must be bit-identical at any pool width: rerun the
 # tensor and nn suites with a 4-thread default pool.
 EXACLIM_NUM_THREADS=4 cargo test -q -p exaclim-tensor -p exaclim-nn
