@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exaclim_climsim::dataset::DatasetConfig;
 use exaclim_climsim::ClimateDataset;
-use exaclim_pipeline::prefetch::{PrefetchConfig, PrefetchQueue, ReaderMode};
-use exaclim_pipeline::{ChannelStats, SampleSampler};
+use exaclim_pipeline::prefetch::{PrefetchConfig, ReaderMode};
+use exaclim_pipeline::{ChannelStats, IngestStream, SampleSampler, StreamConfig, StreamingIngest};
 use exaclim_tensor::DType;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,9 +21,16 @@ fn dataset() -> Arc<ClimateDataset> {
 fn consume(ds: &Arc<ClimateDataset>, cfg: PrefetchConfig, n: usize) {
     let stats = ChannelStats::estimate(ds, 1).expect("stats");
     let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 7);
-    let q = PrefetchQueue::start(ds.clone(), sampler, stats, cfg);
+    let stream_cfg = StreamConfig {
+        prefetch: cfg,
+        seed: sampler.seed(),
+        chunk_size: sampler.chunk_size(),
+        augment: false,
+        meridional: Vec::new(),
+    };
+    let mut q = StreamingIngest::start(ds.clone(), sampler.shard().to_vec(), stats, stream_cfg);
     for _ in 0..n {
-        let _ = q.next();
+        let _ = q.next_sample();
     }
 }
 

@@ -80,7 +80,7 @@ impl DenseBlock {
 
 impl Layer for DenseBlock {
     fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
-        let mut feats: Vec<Tensor> = vec![ctx.workspace.cache(x)];
+        let mut feats: Vec<Tensor> = vec![x.clone()];
         for layer in self.layers.iter_mut() {
             let inp = if feats.len() == 1 {
                 feats[0].clone()
@@ -269,7 +269,7 @@ impl Layer for Bottleneck {
         // Cache the *output*: the backward mask (y > 0 iff pre > 0) comes
         // back out of it, so `pre` can be dropped here instead of living
         // until backward alongside y.
-        self.relu_out = Some(ctx.workspace.cache(&y));
+        self.relu_out = Some(y.clone());
         y
     }
 

@@ -1,8 +1,7 @@
 //! The [`Layer`] trait and [`Sequential`] container.
 
 use crate::param::ParamSet;
-use exaclim_tensor::ops::ConvAlgo;
-use exaclim_tensor::{ComputePrecision, Tensor, Workspace};
+use exaclim_tensor::{ComputePrecision, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,16 +12,10 @@ pub struct Ctx {
     /// RNG for stochastic layers (dropout). Seeded per rank so replicas
     /// can be made identical or decorrelated deliberately.
     pub rng: StdRng,
-    /// Convolution algorithm selection.
-    pub algo: ConvAlgo,
     /// GEMM operand precision for conv/deconv kernels: FP32, or half
     /// (f16/bf16) panels with FP32 accumulation — the tensor-core compute
     /// recipe. Parameters and optimizer state stay FP32 master copies.
     pub compute: ComputePrecision,
-    /// Pool-backed scratch and activation-cache source. Layers draw
-    /// backward-pass caches and temporary buffers through this handle so
-    /// the replica's per-step allocation traffic is pooled and countable.
-    pub workspace: Workspace,
 }
 
 impl Ctx {
@@ -31,9 +24,7 @@ impl Ctx {
         Ctx {
             training: true,
             rng: StdRng::seed_from_u64(seed),
-            algo: ConvAlgo::Auto,
             compute: ComputePrecision::from_env(),
-            workspace: Workspace::new(),
         }
     }
 
@@ -42,9 +33,7 @@ impl Ctx {
         Ctx {
             training: false,
             rng: StdRng::seed_from_u64(0),
-            algo: ConvAlgo::Auto,
             compute: ComputePrecision::from_env(),
-            workspace: Workspace::new(),
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::layer::{Ctx, Layer};
 use crate::param::{Param, ParamSet};
 use exaclim_tensor::init::he_normal;
-use exaclim_tensor::ops::{self, BatchNormCache, Conv2dParams, Deconv2dParams};
+use exaclim_tensor::ops::{self, BatchNormCache, Conv2dParams, ConvAlgo, Deconv2dParams};
 use exaclim_tensor::{set_compute_precision, ComputePrecision, DType, Shape, Tensor};
 use rand::rngs::StdRng;
 
@@ -59,13 +59,13 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
         // The cache shares `x`'s storage (copy-on-write); a buffer copy
         // happens only if someone later mutates either side.
-        self.cached_input = Some(ctx.workspace.cache(x));
+        self.cached_input = Some(x.clone());
         // Mixed precision: cast the f32 master weight to the activation
         // precision for compute, as tensor cores do.
         let w = self.weight.value().cast(x.dtype());
         self.compute = ctx.compute;
         let prev = set_compute_precision(self.compute);
-        let mut y = ops::conv2d_forward(x, &w, self.params, ctx.algo);
+        let mut y = ops::conv2d_forward(x, &w, self.params, ConvAlgo::Auto);
         set_compute_precision(prev);
         if let Some(b) = &self.bias {
             let bv = b.value().cast(x.dtype());
@@ -138,7 +138,7 @@ impl Deconv2d {
 
 impl Layer for Deconv2d {
     fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
-        self.cached_input = Some(ctx.workspace.cache(x));
+        self.cached_input = Some(x.clone());
         let w = self.weight.value().cast(x.dtype());
         self.compute = ctx.compute;
         // Deconv forward is a direct scatter (no GEMM); only backward
@@ -223,7 +223,7 @@ impl Layer for BatchNorm2d {
         } else {
             // Inference: normalize with running stats.
             let (n, c, h, w) = x.shape().nchw();
-            let mut y = Tensor::zeros_in(x.shape().clone(), x.dtype(), &mut ctx.workspace);
+            let mut y = Tensor::zeros(x.shape().clone(), x.dtype());
             let g = self.gamma.value();
             let b = self.beta.value();
             let rm = self.running_mean.value();
@@ -296,9 +296,9 @@ impl Default for ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ctx: &mut Ctx) -> Tensor {
         let y = ops::relu_forward(x);
-        self.cached_output = Some(ctx.workspace.cache(&y));
+        self.cached_output = Some(y.clone());
         y
     }
 

@@ -215,9 +215,9 @@ fn check_entry(params: &ParamSet, pname: &str, values: &[f32], what: &str) -> Re
 }
 
 /// Accounts one fused optimizer kernel with its true per-scalar traffic.
-/// The category is set explicitly rather than via the global `Phase`:
-/// bucket applies run on the comm progress thread concurrently with the
-/// main thread's backward phase, and must not be mis-filed under it.
+/// The category is set explicitly rather than via the thread's `Phase`:
+/// bucket applies run on the comm progress thread, whose phase is not the
+/// rank's, concurrently with the rank thread's backward phase.
 fn record_optim(name: &'static str, scalars: usize, flops: u64, read: u64, written: u64) {
     let n = scalars as u64;
     profile::record_raw(profile::KernelRecord {

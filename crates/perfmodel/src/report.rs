@@ -118,13 +118,15 @@ pub fn fig3_table(census: &[KernelWork], gpu: &GpuModel, precision: Precision) -
 /// requests the step made, what fraction the recycling pool absorbed, and
 /// the pool's high-water mark. The symbolic (spec-derived) census has no
 /// such line — allocation traffic only exists at execution time.
-pub fn render_alloc_traffic(alloc: &exaclim_tensor::profile::AllocTraffic) -> String {
+pub fn render_alloc_traffic(alloc: &exaclim_tensor::pool::PoolStats) -> String {
+    let requests = alloc.total_requests();
+    let reuse = if requests == 0 { 0.0 } else { alloc.pool_served as f64 / requests as f64 };
     format!(
         "Allocator: {} buffer requests | {} pool-served ({:.1}% reuse) | {:.2} MB fresh | {:.2} MB reused | high water {:.2} MB
 ",
-        alloc.total_allocs(),
+        requests,
         alloc.pool_served,
-        100.0 * alloc.reuse_fraction(),
+        100.0 * reuse,
         alloc.bytes_fresh as f64 / 1e6,
         alloc.bytes_reused as f64 / 1e6,
         alloc.high_water_bytes as f64 / 1e6,

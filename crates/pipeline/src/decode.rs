@@ -9,7 +9,7 @@
 
 use exaclim_climsim::ClimateDataset;
 use exaclim_tensor::pool::{self, PoolBuf};
-use exaclim_tensor::{DType, PooledBytes, Tensor};
+use exaclim_tensor::{DType, Tensor};
 
 /// Per-channel normalization statistics.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ pub struct DecodedSample {
     /// Normalized input fields `[1, C, H, W]`.
     pub input: Tensor,
     /// Per-pixel class labels (row-major, `h·w`).
-    pub labels: PooledBytes,
+    pub labels: PoolBuf<u8>,
     /// Per-pixel loss weights.
     pub weights: PoolBuf,
     /// Grid height.
@@ -104,7 +104,7 @@ pub fn decode(
     DecodedSample {
         index,
         input,
-        labels: PooledBytes::copy_of(raw_labels),
+        labels: PoolBuf::copy_of(raw_labels),
         weights: PoolBuf::from_vec(wts),
         h,
         w,

@@ -6,8 +6,8 @@
 //! TensorFlow's default placement puts input processing on the training
 //! critical path; the paper's fixes — reproduced here — are:
 //!
-//! * a **prefetch queue** deep enough to absorb input-rate variability
-//!   ([`prefetch::PrefetchQueue`]),
+//! * **prefetching** deep enough to absorb input-rate variability
+//!   ([`prefetch::PrefetchConfig::depth`]),
 //! * **parallel worker processes** instead of threads, because the HDF5
 //!   library serializes all reads behind one global lock. The
 //!   [`prefetch::ReaderMode`] knob reproduces both worlds: `SharedLocked`
@@ -15,7 +15,7 @@
 //!   `PerWorker` (each worker owns an independent reader, the
 //!   `multiprocessing` fix).
 //!
-//! The engine underneath is [`stream::StreamingIngest`]: sharded reader
+//! Both live in one engine, [`stream::StreamingIngest`]: sharded reader
 //! tasks stream whole CDF5 chunks through bounded per-worker channels,
 //! decode into pool-recycled buffers (zero steady-state allocations), and
 //! follow the pure hierarchical shuffle of [`sampler::epoch_permutation`]
@@ -35,6 +35,6 @@ pub mod stream;
 
 pub use augment::Augmentation;
 pub use decode::{ChannelStats, DecodedSample};
-pub use prefetch::{PipelineStats, PrefetchConfig, PrefetchQueue, ReaderMode};
+pub use prefetch::{PipelineStats, PrefetchConfig, ReaderMode};
 pub use sampler::{epoch_permutation, sequence_hash, SampleSampler};
 pub use stream::{IngestStream, StreamConfig, StreamingIngest};

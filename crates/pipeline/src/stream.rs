@@ -1,6 +1,6 @@
 //! The streaming, backpressured, bit-reproducible ingest engine.
 //!
-//! The original `PrefetchQueue` pulled one sample index at a time from a
+//! The original prefetch queue pulled one sample index at a time from a
 //! locked sampler and allocated fresh buffers for every decoded sample.
 //! This module replaces that pull-per-sample model with *sharded reader
 //! tasks*:
@@ -70,7 +70,7 @@ pub trait IngestStream: Send {
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Worker count, queue depth, reader mode, read cost, channel
-    /// selection, class weights and dtype (shared with the legacy queue).
+    /// selection, class weights and dtype.
     pub prefetch: PrefetchConfig,
     /// Shuffle seed; with the shard it fully determines the order.
     pub seed: u64,

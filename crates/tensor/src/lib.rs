@@ -20,10 +20,11 @@
 //!   category, FLOP count and bytes moved, using the paper's conventions
 //!   (Section VI: 2 FLOPs per multiply-add, implicit-GEMM convolution
 //!   counts). This is the data source for the Figure 2/3/8/9 analyses.
-//! * [`pool`] — the buffer-recycling tensor memory pool (§VII-A's "improve
-//!   the memory management"): size-class free lists behind every tensor's
-//!   copy-on-write storage, plus the [`Workspace`] handle layers draw
-//!   scratch and activation-cache buffers through.
+//! * [`pool`] — the buffer-recycling memory pool (§VII-A's "improve the
+//!   memory management"): one size-class free-list implementation, with
+//!   a free-list table and counter block per element type, behind every
+//!   tensor's copy-on-write `f32` storage, kernel scratch and the ingest
+//!   path's `u8` label buffers.
 
 pub mod half;
 pub mod init;
@@ -36,7 +37,6 @@ pub mod tensor;
 
 pub use crate::half::{Bf16, F16};
 pub use crate::ops::gemm::{compute_precision, set_compute_precision, ComputePrecision};
-pub use crate::pool::{PooledBytes, Workspace};
 pub use crate::shape::Shape;
 pub use crate::simd::{set_simd_enabled, simd_enabled, SimdLevel};
 pub use crate::tensor::{DType, Tensor};

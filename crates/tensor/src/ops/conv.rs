@@ -372,7 +372,7 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
         let gos = grad_out.as_slice();
         let ws = w.as_slice();
         let gxs = gx.as_mut_slice();
-        let mut gcol = pool::take_scratch(crs * COL_STRIP.min(hw.max(1)));
+        let mut gcol = pool::take_zeroed(crs * COL_STRIP.min(hw.max(1)));
         for ni in 0..n {
             let gxn = &mut gxs[ni * c * h * wd..(ni + 1) * c * h * wd];
             for p0 in (0..hw).step_by(COL_STRIP) {
@@ -493,7 +493,7 @@ pub fn conv2d_weight_grad_gemm(x: &Tensor, grad_out: &Tensor, kshape: (usize, us
     let mut gw = pool::take_zeroed(k * crs);
     let xs = x.as_slice();
     let gos = grad_out.as_slice();
-    let mut col = pool::take_scratch(crs * ho * wo);
+    let mut col = pool::take_zeroed(crs * ho * wo);
     for ni in 0..n {
         im2col(xs, ni, c, h, wd, r, s, ho, wo, p, &mut col);
         // gw[k, crs] += gout_n[k, howo] · col[crs, howo]ᵀ

@@ -473,7 +473,7 @@ fn gemm_blocked(
     // One packed-A buffer for the whole kc-panel, shared read-only by all
     // tiles. Packed serially: the pack is a tiny fraction of the FLOPs and
     // pool dispatch here costs more than it buys.
-    let mut ap = crate::pool::take_scratch(m_panels * MR * KC);
+    let mut ap = crate::pool::take_zeroed(m_panels * MR * KC);
 
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
@@ -492,7 +492,7 @@ fn gemm_blocked(
             // keeps every task independent (content is tile-invariant, so
             // numerics are unaffected).
             let nr_panels = nc.div_ceil(NR);
-            let mut bp = crate::pool::take_scratch(nr_panels * NR * kc);
+            let mut bp = crate::pool::take_zeroed(nr_panels * NR * kc);
             bp.chunks_exact_mut(NR * kc).enumerate().for_each(|(panel, buf)| {
                 bsrc.pack_panel(j0 + panel * NR, pc, kc, buf);
             });

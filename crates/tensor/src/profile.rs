@@ -6,14 +6,15 @@
 //! analysis of Figures 3, 8 and 9. This module is the equivalent
 //! instrument: every kernel in [`crate::ops`] reports `(kind, flops,
 //! bytes_read, bytes_written)` here, and the execution *phase*
-//! (forward / backward / optimizer) set by the training loop maps the kind
-//! onto the paper's category rows.
+//! (forward / backward / optimizer), set per thread by the training loop,
+//! maps the kind onto the paper's category rows.
 //!
 //! Recording is off by default and costs a single relaxed atomic load per
 //! kernel when disabled.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -122,47 +123,14 @@ pub struct KernelRecord {
     pub bytes_written: u64,
 }
 
-/// Allocator traffic over a recorded region — the census's memory column.
-///
-/// Filled from [`crate::pool`] statistics deltas taken at [`start`] and
-/// [`stop`], so it covers exactly the same region as the kernel records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocTraffic {
-    /// Buffer requests that hit the system allocator.
-    pub fresh_allocs: u64,
-    /// Buffer requests served from the recycling pool.
-    pub pool_served: u64,
-    /// Bytes obtained as fresh heap allocations.
-    pub bytes_fresh: u64,
-    /// Bytes obtained from recycled buffers.
-    pub bytes_reused: u64,
-    /// Pool high-water mark (absolute, at `stop` time).
-    pub high_water_bytes: u64,
-}
-
-impl AllocTraffic {
-    /// Total buffer requests in the region.
-    pub fn total_allocs(&self) -> u64 {
-        self.fresh_allocs + self.pool_served
-    }
-
-    /// Fraction of requests served by the pool, in `[0, 1]`.
-    pub fn reuse_fraction(&self) -> f64 {
-        let total = self.total_allocs();
-        if total == 0 {
-            return 0.0;
-        }
-        self.pool_served as f64 / total as f64
-    }
-}
-
 /// Aggregate census over a recorded region.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Every kernel launch in order.
     pub records: Vec<KernelRecord>,
-    /// Allocator traffic during the region.
-    pub alloc: AllocTraffic,
+    /// f32 pool traffic during the region: the [`crate::pool::stats`]
+    /// delta between [`start`] and [`stop`] (the census's memory column).
+    pub alloc: crate::pool::PoolStats,
 }
 
 /// Per-category aggregate of a [`Profile`].
@@ -209,7 +177,6 @@ impl Profile {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static PHASE: AtomicU8 = AtomicU8::new(0);
 
 /// One thread's private record buffer. `record()` only ever locks its own
 /// shard (uncontended in steady state), so profiling no longer serializes
@@ -222,6 +189,7 @@ type Shard = Arc<Mutex<Vec<KernelRecord>>>;
 static SHARDS: Mutex<Vec<Shard>> = Mutex::new(Vec::new());
 
 thread_local! {
+    static PHASE: Cell<Phase> = const { Cell::new(Phase::Forward) };
     static MY_SHARD: Shard = {
         let shard: Shard = Arc::new(Mutex::new(Vec::new()));
         SHARDS.lock().push(shard.clone());
@@ -255,16 +223,9 @@ pub fn stop() -> Profile {
         prof.records.append(&mut shard.lock());
     }
     let now = crate::pool::stats();
-    let delta = match POOL_AT_START.lock().take() {
+    prof.alloc = match POOL_AT_START.lock().take() {
         Some(at_start) => now.since(&at_start),
         None => now,
-    };
-    prof.alloc = AllocTraffic {
-        fresh_allocs: delta.fresh_allocs,
-        pool_served: delta.pool_served,
-        bytes_fresh: delta.bytes_fresh,
-        bytes_reused: delta.bytes_reused,
-        high_water_bytes: delta.high_water_bytes,
     };
     prof
 }
@@ -275,26 +236,17 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Sets the current execution phase (global; the census is intended for
-/// single-rank analysis runs, mirroring the paper's single-node profiling).
+/// Sets the calling thread's execution phase. The phase is per thread,
+/// like the record shards: each rank thread files its own kernels under
+/// its own phase, so concurrent ranks in one census never misfile each
+/// other's work. Threads start in [`Phase::Forward`].
 pub fn set_phase(phase: Phase) {
-    PHASE.store(
-        match phase {
-            Phase::Forward => 0,
-            Phase::Backward => 1,
-            Phase::Optimizer => 2,
-        },
-        Ordering::Relaxed,
-    );
+    PHASE.with(|p| p.set(phase));
 }
 
-/// The current execution phase.
+/// The calling thread's execution phase.
 pub fn phase() -> Phase {
-    match PHASE.load(Ordering::Relaxed) {
-        0 => Phase::Forward,
-        1 => Phase::Backward,
-        _ => Phase::Optimizer,
-    }
+    PHASE.with(|p| p.get())
 }
 
 /// Records one kernel launch if a census is active.
@@ -525,13 +477,42 @@ mod tests {
                 drop(a);
                 let _b = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
             });
-            assert_eq!(prof.alloc.total_allocs(), 2, "two tensor allocations in region");
+            assert_eq!(prof.alloc.total_requests(), 2, "two tensor allocations in region");
             assert!(
                 prof.alloc.bytes_fresh + prof.alloc.bytes_reused >= 2 * 32 * 32 * 4,
                 "both requests accounted by bytes"
             );
             let ((), empty) = capture(|| {});
-            assert_eq!(empty.alloc.total_allocs(), 0);
+            assert_eq!(empty.alloc.total_requests(), 0);
+        });
+    }
+
+    #[test]
+    fn each_thread_files_kernels_under_its_own_phase() {
+        isolated_test(|| {
+            // Two rank threads in one census: one sets Forward, then the
+            // other sets Backward, then both record one conv.
+            let barrier = std::sync::Barrier::new(2);
+            let ((), prof) = capture(|| {
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        set_phase(Phase::Forward);
+                        barrier.wait();
+                        barrier.wait();
+                        record(KernelKind::Conv, "rank0", 1, 1, 1);
+                    });
+                    scope.spawn(|| {
+                        barrier.wait();
+                        set_phase(Phase::Backward);
+                        barrier.wait();
+                        record(KernelKind::Conv, "rank1", 1, 1, 1);
+                    });
+                });
+            });
+            let cats = prof.by_category();
+            let get = |c: Category| cats.iter().find(|(cc, _)| *cc == c).unwrap().1;
+            assert_eq!(get(Category::ForwardConv).kernels, 1);
+            assert_eq!(get(Category::BackwardConv).kernels, 1);
         });
     }
 

@@ -1,7 +1,7 @@
 //! The dense [`Tensor`] type.
 
 use crate::half::{quantize_f16, quantize_f16_slice};
-use crate::pool::{self, PoolBuf, Workspace};
+use crate::pool::{self, PoolBuf};
 use crate::profile::{self, KernelKind};
 use crate::shape::Shape;
 use std::sync::Arc;
@@ -69,12 +69,6 @@ impl Tensor {
             dtype,
             data: Arc::new(PoolBuf::from_vec(pool::take_zeroed(numel))),
         }
-    }
-
-    /// A pooled zero tensor accounted against `ws` — the workspace-aware
-    /// variant layers use for per-forward scratch outputs.
-    pub fn zeros_in(shape: impl Into<Shape>, dtype: DType, ws: &mut Workspace) -> Tensor {
-        ws.zeros(shape, dtype)
     }
 
     /// A tensor filled with `value` (quantized if FP16).
@@ -166,7 +160,7 @@ impl Tensor {
     }
 
     /// True if this tensor's buffer is shared with another tensor (a COW
-    /// alias created by `clone`, [`Tensor::reshape`], or a workspace
+    /// alias created by `clone` or [`Tensor::reshape`], such as a layer's
     /// activation cache).
     #[inline]
     pub fn storage_shared(&self) -> bool {

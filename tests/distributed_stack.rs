@@ -5,13 +5,30 @@ use exaclim_climsim::dataset::DatasetConfig;
 use exaclim_climsim::ClimateDataset;
 use exaclim_comm::CommWorld;
 use exaclim_distrib::{ControlPlane, Coordinator};
-use exaclim_pipeline::prefetch::{PrefetchConfig, PrefetchQueue, ReaderMode};
-use exaclim_pipeline::{ChannelStats, SampleSampler};
+use exaclim_pipeline::prefetch::{PrefetchConfig, ReaderMode};
+use exaclim_pipeline::{ChannelStats, IngestStream, SampleSampler, StreamConfig, StreamingIngest};
 use exaclim_staging::real::{stage_distributed, stage_naive};
 use exaclim_staging::StagingPlan;
 use exaclim_tensor::DType;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A stream over `sampler`'s shard, ordered by its seed and chunking.
+fn stream(
+    ds: &Arc<ClimateDataset>,
+    sampler: SampleSampler,
+    stats: ChannelStats,
+    prefetch: PrefetchConfig,
+) -> StreamingIngest {
+    let cfg = StreamConfig {
+        prefetch,
+        seed: sampler.seed(),
+        chunk_size: sampler.chunk_size(),
+        augment: false,
+        meridional: Vec::new(),
+    };
+    StreamingIngest::start(ds.clone(), sampler.shard().to_vec(), stats, cfg)
+}
 
 fn dataset(n: usize) -> Arc<ClimateDataset> {
     let mut cfg = DatasetConfig::small(7, n);
@@ -32,8 +49,8 @@ fn staged_shards_feed_the_pipeline() {
 
     let stats = ChannelStats::estimate(&ds, 2).expect("stats");
     let sampler = SampleSampler::new(shard.clone(), 11);
-    let q = PrefetchQueue::start(
-        ds.clone(),
+    let mut q = stream(
+        &ds,
         sampler,
         stats,
         PrefetchConfig {
@@ -47,7 +64,7 @@ fn staged_shards_feed_the_pipeline() {
         },
     );
     for _ in 0..10 {
-        let s = q.next();
+        let s = q.next_sample();
         assert_eq!(s.input.shape().dims(), &[1, 16, 16, 24]);
         // The sample must match one of the staged shard's payloads.
         let matched = shard.iter().any(|&idx| {
@@ -121,8 +138,8 @@ fn on_disk_dataset_supports_the_full_path() {
     assert_eq!(ds.files().len(), 3);
     let stats = ChannelStats::estimate(&ds, 2).expect("stats");
     let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 2);
-    let q = PrefetchQueue::start(
-        ds.clone(),
+    let mut q = stream(
+        &ds,
         sampler,
         stats,
         PrefetchConfig {
@@ -135,7 +152,7 @@ fn on_disk_dataset_supports_the_full_path() {
             dtype: DType::F16,
         },
     );
-    let s = q.next();
+    let s = q.next_sample();
     assert_eq!(s.input.dtype(), DType::F16);
     assert_eq!(s.input.shape().dims(), &[1, 2, 16, 24]);
     drop(q);

@@ -14,6 +14,13 @@ cargo clippy --workspace -- -D warnings
 cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
 cargo test --release --offline --locked --manifest-path e2ebench/Cargo.toml
 
+# The pool and census counters are process-wide and the harness runs
+# tests on parallel threads: repeat the tensor lib suite, which asserts
+# those counters, at the default test-thread count to catch flakes.
+for _ in 1 2 3; do
+    cargo test -q -p exaclim-tensor --lib
+done
+
 # Kernel results must be bit-identical at any pool width: rerun the
 # tensor and nn suites with a 4-thread default pool.
 EXACLIM_NUM_THREADS=4 cargo test -q -p exaclim-tensor -p exaclim-nn
