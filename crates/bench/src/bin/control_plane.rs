@@ -23,7 +23,7 @@ fn measure(n: usize, plane: ControlPlane, tensors: usize) -> (u64, u64) {
                 let coord = Coordinator::new(plane, tensors);
                 let mut ready: Vec<u32> = (0..tensors as u32).collect();
                 ready.rotate_left(rank % tensors.max(1));
-                coord.coordinate(&mut comm, &ready)
+                coord.try_coordinate(&mut comm, &ready).expect("coordination round")
             })
         })
         .collect();

@@ -7,7 +7,7 @@
 //!   the world down and replay every completed step past the last
 //!   auto-checkpoint (`steps_replayed`).
 //! * **Elastic resize** ([`train_data_parallel_elastic`]): survivors meet
-//!   in a recovery round and continue from the live model in a fresh
+//!   in a membership round and continue from the live model in a fresh
 //!   generation — `steps_retried` stays 0 for a boundary crash.
 //!
 //! The elastic run executes twice and the parameter hashes are compared
@@ -115,8 +115,7 @@ fn run_elastic(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("EXACLIM_SMOKE").ok().as_deref() == Some("1");
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let steps = if smoke { 8 } else { 10 };
     let ranks = 4;
     println!("elastic_microbench ({steps} steps/run{})", if smoke { ", smoke" } else { "" });

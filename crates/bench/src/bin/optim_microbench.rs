@@ -107,8 +107,7 @@ fn best(xs: impl Iterator<Item = f64>) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("EXACLIM_SMOKE").ok().as_deref() == Some("1");
+    let smoke = std::env::args().any(|a| a == "--smoke");
     // Best-of-steps needs enough samples for at least one scheduler-clean
     // step per run on an oversubscribed host; see `best` below.
     let steps = if smoke { 10 } else { 20 };

@@ -104,8 +104,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("EXACLIM_SMOKE").ok().as_deref() == Some("1");
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let steps = if smoke { 6 } else { 12 };
     let rank_counts: &[usize] = &[2, 4, 8];
 
@@ -148,23 +147,15 @@ fn main() {
         let serial_wall_s = wall(&serial);
         let overlap_wall_s = wall(&overlapped);
 
-        let debug_rows = std::env::var("EXACLIM_BENCH_DEBUG").ok().as_deref() == Some("1");
-        if debug_rows {
-            println!("--- serial rank0 rows ({ranks} ranks) ---");
-            print!("{}", exaclim_perfmodel::render_step_timeline(&s_rows));
-            println!("--- overlap rank0 rows ({ranks} ranks) ---");
-            print!("{}", exaclim_perfmodel::render_step_timeline(&o_rows));
-        } else {
-            assert!(
-                overlap_exposed_s < serial_exposed_s,
-                "{ranks} ranks: overlap must strictly reduce exposed comm \
-                 (serial {serial_exposed_s:.6}s vs overlapped {overlap_exposed_s:.6}s)"
-            );
-            assert!(
-                overlap_fraction > 0.0,
-                "{ranks} ranks: backward hid no all-reduce work"
-            );
-        }
+        assert!(
+            overlap_exposed_s < serial_exposed_s,
+            "{ranks} ranks: overlap must strictly reduce exposed comm \
+             (serial {serial_exposed_s:.6}s vs overlapped {overlap_exposed_s:.6}s)"
+        );
+        assert!(
+            overlap_fraction > 0.0,
+            "{ranks} ranks: backward hid no all-reduce work"
+        );
 
         let reduction = serial_exposed_s / overlap_exposed_s;
         println!(

@@ -13,13 +13,17 @@
 //!   [`WorldView`] — a strictly increasing generation number plus the
 //!   sorted member ids. Every collective runs against exactly one view;
 //!   views change only *between* steps.
-//! * **Boundary membership protocol.** At every step boundary each member
-//!   reports status (including a graceful-leave intent) to the view's
-//!   leader (its lowest member id). The leader merges leavers with the
-//!   join lobby and either declares *no change* or runs a
-//!   propose → ack → commit handshake for the next view. Committed
-//!   transitions re-assemble the communicator through the generation-keyed
-//!   [`Rendezvous`], so a collective can never straddle two worlds.
+//! * **One membership round per decision.** At every step boundary, and
+//!   after every failed step attempt, each member of the view checks in
+//!   with the shared hub (the job scheduler's part in a deployment),
+//!   reporting whether it wants to leave and whether it holds the live
+//!   state. The round completes once every member has checked in or
+//!   died (its hub lease dropped) and returns one decision to all of
+//!   them: proceed, crash recovery without the dead, or a leave/join
+//!   transition. A new view re-assembles the communicator through the
+//!   generation-keyed [`Rendezvous`], so a collective can never straddle
+//!   two worlds, then runs its own round at the same boundary — which is
+//!   how a crash, a leave and a join cascade there.
 //! * **State follows the view.** On every transition the learning rate is
 //!   rescaled linearly with the world size (the paper's Figure-6 rule),
 //!   the staging plan re-shards ownership so only orphaned samples are
@@ -27,19 +31,17 @@
 //!   world, and joiners receive the parameters *and optimizer state* by
 //!   broadcast from a live survivor — a checkpoint is touched only in the
 //!   survivor-less handoff case.
-//! * **Crash recovery without restart.** A member that vanishes surfaces
-//!   as a typed [`CommError`] on the survivors, who meet in a keyed
-//!   recovery round, agree on the surviving set, and continue in a fresh
-//!   generation from the *live* model — zero completed steps are lost,
-//!   where checkpoint-restart would replay everything past the last
-//!   snapshot.
+//! * **Crash recovery without restart.** A member that vanishes never
+//!   checks in; a step that fails mid-flight is reported as failed. Either
+//!   way the survivors continue in a fresh generation from the *live*
+//!   model — zero completed steps are lost, where checkpoint-restart
+//!   would replay everything past the last snapshot.
 //!
 //! Fault schedules come from [`FaultPlan`] (`with_leave_at_step` /
 //! `with_join_at_step` plus crashes), so any churn scenario — flapping
 //! ranks, join-during-leave cascades, full founder turnover — replays
 //! bit-identically.
 
-use crate::control::{MemberMsg, ViewMsg, TAG_MS_CTRL, TAG_MS_UP};
 use crate::replica::Replica;
 use crate::trainer::{BatchSource, OptimizerKind, StepRecord, TrainerConfig};
 use exaclim_comm::{CommError, CommWorld, Communicator, Rendezvous};
@@ -49,7 +51,7 @@ use exaclim_nn::optim::{scale_lr_for_batch, OptState};
 use exaclim_nn::Layer;
 use exaclim_staging::StagingPlan;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -159,7 +161,6 @@ pub struct ElasticReport {
 // ---------------------------------------------------------------------------
 
 /// What an admitted joiner needs to enter the world.
-#[derive(Clone)]
 struct Admission {
     view: WorldView,
     start_step: usize,
@@ -177,23 +178,61 @@ struct Counters {
     checkpoints_saved: usize,
 }
 
-/// A keyed crash-recovery round: survivors of one failed generation meet
-/// here, agree on who is left, and move to a fresh generation together.
-struct Recovery {
-    new_generation: u64,
+/// How a freshly assembled world synchronizes model state.
+#[derive(Clone)]
+enum SyncPlan {
+    /// Everybody already holds the live state.
+    None,
+    /// Broadcast params + optimizer state from this member id; unsynced
+    /// members import, synced members just relay.
+    Broadcast { root: usize },
+    /// No survivor: every unsynced member loads its handoff checkpoint.
+    Handoff,
+}
+
+/// What a membership round decided, identically for every member.
+#[derive(Clone)]
+enum Decision {
+    /// Membership unchanged — run the step.
+    Proceed,
+    /// Enter this view and sync by the plan; members outside it depart.
+    Enter(WorldView, SyncPlan),
+}
+
+/// One member's report to a membership round.
+struct CheckIn {
+    /// The member departs gracefully at this boundary.
+    wants_leave: bool,
+    /// The member holds the live model state.
+    synced: bool,
+    /// The member's last step attempt (or world entry) failed.
+    failed: bool,
+}
+
+/// One membership round: the members of one view meet at one boundary,
+/// or after one failed attempt, and get one decision back.
+struct Round {
+    opened: Instant,
     checked: BTreeSet<usize>,
     synced: BTreeSet<usize>,
-    /// `(members, broadcast_root, any_unsynced)` once finalized.
-    committed: Option<(Vec<usize>, Option<usize>, bool)>,
+    leavers: BTreeSet<usize>,
+    failed: bool,
+    decision: Option<Decision>,
+    /// Members yet to collect the decision; the round is dropped at 0.
+    unread: usize,
 }
 
 struct HubState {
-    alive: BTreeSet<usize>,
+    /// Liveness leases per member id. A count, not a flag: a flapping
+    /// rank's departing thread may still hold its lease when the
+    /// admission of its next incarnation reserves another.
+    leases: BTreeMap<usize, usize>,
     /// Waiting joiners: id → earliest admissible step.
     lobby: BTreeMap<usize, usize>,
     admissions: BTreeMap<usize, Admission>,
     next_generation: u64,
-    recoveries: BTreeMap<u64, Recovery>,
+    /// Open rounds, keyed by (generation, rounds already run in it).
+    rounds: BTreeMap<(u64, usize), Round>,
     staging: StagingPlan,
     staging_moved: usize,
     history: Vec<GenerationRecord>,
@@ -206,8 +245,9 @@ struct HubState {
 }
 
 /// Shared membership authority — the piece a cluster scheduler plays in a
-/// real deployment. Everything in it is bookkeeping; the data plane stays
-/// on the per-generation communicators.
+/// real deployment, and the only place a membership decision is made.
+/// Everything in it is bookkeeping; the data plane stays on the
+/// per-generation communicators.
 struct ElasticHub {
     state: Mutex<HubState>,
     cv: Condvar,
@@ -215,6 +255,7 @@ struct ElasticHub {
     initial_ranks: usize,
     staging_spn: usize,
     staging_seed: u64,
+    checkpoint_dir: PathBuf,
 }
 
 /// Membership lease: dropping it (graceful return *or* thread death)
@@ -227,7 +268,12 @@ struct HubGuard {
 impl Drop for HubGuard {
     fn drop(&mut self) {
         let mut s = self.hub.state.lock().unwrap();
-        s.alive.remove(&self.me);
+        if let Some(n) = s.leases.get_mut(&self.me) {
+            *n -= 1;
+            if *n == 0 {
+                s.leases.remove(&self.me);
+            }
+        }
         self.hub.cv.notify_all();
     }
 }
@@ -255,11 +301,11 @@ impl ElasticHub {
             cfg.base.seed,
         );
         let state = HubState {
-            alive: (0..cfg.base.ranks).collect(),
+            leases: (0..cfg.base.ranks).map(|m| (m, 1)).collect(),
             lobby,
             admissions: BTreeMap::new(),
             next_generation: 1,
-            recoveries: BTreeMap::new(),
+            rounds: BTreeMap::new(),
             staging,
             staging_moved: 0,
             history: vec![GenerationRecord {
@@ -285,6 +331,7 @@ impl ElasticHub {
             initial_ranks: cfg.base.ranks,
             staging_spn: cfg.staging_samples_per_node,
             staging_seed: cfg.base.seed,
+            checkpoint_dir: cfg.checkpoint_dir.clone(),
         }
     }
 
@@ -292,69 +339,138 @@ impl ElasticHub {
         scale_lr_for_batch(self.base_lr, self.initial_ranks, world)
     }
 
-    /// Adopts a founding member's pre-registered liveness slot.
+    /// Takes up a member's liveness lease: a founder's, or the one its
+    /// admission reserved.
     fn adopt(self: &Arc<Self>, me: usize) -> HubGuard {
-        debug_assert!(self.state.lock().unwrap().alive.contains(&me));
+        debug_assert!(self.state.lock().unwrap().leases.contains_key(&me));
         HubGuard { hub: self.clone(), me }
     }
 
-    /// Registers a joiner as alive, waiting out any still-held lease for
-    /// the same id (a flapping rank's departing thread may not have
-    /// dropped its guard yet when the rejoining thread is admitted).
-    fn register(self: &Arc<Self>, me: usize) -> HubGuard {
+    /// Checks `me` in to round `seq` of `view` (`seq` counts the rounds
+    /// the view has already run) and blocks until the round is decided.
+    /// A round is complete once every member has checked in or lost its
+    /// lease; whoever sees it complete decides for everyone. The decider
+    /// calls `write_handoff` to persist its live state when the model
+    /// moves to joiners with no survivor to broadcast it.
+    fn round(
+        &self,
+        view: &WorldView,
+        seq: usize,
+        me: usize,
+        step: usize,
+        check_in: CheckIn,
+        write_handoff: impl FnOnce(&Path) -> std::io::Result<()>,
+    ) -> Decision {
+        let key = (view.generation, seq);
         let mut s = self.state.lock().unwrap();
-        while s.alive.contains(&me) {
+        let r = s.rounds.entry(key).or_insert_with(|| Round {
+            opened: Instant::now(),
+            checked: BTreeSet::new(),
+            synced: BTreeSet::new(),
+            leavers: BTreeSet::new(),
+            failed: false,
+            decision: None,
+            unread: 0,
+        });
+        r.checked.insert(me);
+        if check_in.synced {
+            r.synced.insert(me);
+        }
+        if check_in.wants_leave {
+            r.leavers.insert(me);
+        }
+        r.failed |= check_in.failed;
+        self.cv.notify_all();
+        loop {
+            let r = &s.rounds[&key];
+            if r.decision.is_some() {
+                break;
+            }
+            if view.members.iter().all(|m| r.checked.contains(m) || !s.leases.contains_key(m)) {
+                let mut r = s.rounds.remove(&key).expect("open round");
+                r.decision = Some(self.decide(&mut s, &r, view, step, write_handoff));
+                r.unread = r.checked.len();
+                s.rounds.insert(key, r);
+                self.cv.notify_all();
+                break;
+            }
             s = self.cv.wait(s).unwrap();
         }
-        s.alive.insert(me);
-        drop(s);
-        HubGuard { hub: self.clone(), me }
-    }
-
-    fn alloc_generation(&self) -> u64 {
-        let mut s = self.state.lock().unwrap();
-        let g = s.next_generation;
-        s.next_generation += 1;
-        g
-    }
-
-    /// Lobby entries admissible at `step` that are not current members.
-    fn pending_joins(&self, step: usize, members: &[usize]) -> Vec<usize> {
-        let s = self.state.lock().unwrap();
-        s.lobby
-            .iter()
-            .filter(|(node, &at)| at <= step && !members.contains(node))
-            .map(|(&node, _)| node)
-            .collect()
-    }
-
-    /// Books a committed transition: removes admitted joiners from the
-    /// lobby, grants their admissions, re-shards staging ownership onto
-    /// the new member set, and logs the generation.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_transition(
-        &self,
-        new_gen: u64,
-        old_members: &[usize],
-        new_members: &[usize],
-        begin_step: usize,
-        cause: &str,
-        handoff: Option<PathBuf>,
-        wall_s: f64,
-    ) {
-        let mut s = self.state.lock().unwrap();
-        let joiners: Vec<usize> =
-            new_members.iter().copied().filter(|m| !old_members.contains(m)).collect();
-        let leavers: Vec<usize> =
-            old_members.iter().copied().filter(|m| !new_members.contains(m)).collect();
-        let survivors: Vec<usize> =
-            old_members.iter().copied().filter(|m| new_members.contains(m)).collect();
-        for j in &joiners {
-            s.lobby.remove(j);
-            s.staging.ensure_node(*j, self.staging_spn, self.staging_seed);
+        let r = s.rounds.get_mut(&key).expect("decided round");
+        let decision = r.decision.clone().expect("decided round");
+        r.unread -= 1;
+        if r.unread == 0 {
+            s.rounds.remove(&key);
         }
-        let moved = s.staging.reassign_owners(new_members);
-        s.staging_moved += moved;
+        decision
+    }
+
+    /// The decision of a complete round. A failure or a member that never
+    /// checked in forces crash recovery; otherwise leavers and admissible
+    /// lobby entries make a transition, and nothing at all means proceed.
+    fn decide(
+        &self,
+        s: &mut HubState,
+        r: &Round,
+        view: &WorldView,
+        step: usize,
+        write_handoff: impl FnOnce(&Path) -> std::io::Result<()>,
+    ) -> Decision {
+        let wall_s = r.opened.elapsed().as_secs_f64();
+        let dead: Vec<usize> =
+            view.members.iter().copied().filter(|m| !r.checked.contains(m)).collect();
+        if r.failed || !dead.is_empty() {
+            // Whoever checked in carries on; a member without the live
+            // state (a joiner whose entry failed) takes it from the
+            // lowest synced member, or from its handoff if there is none.
+            let members: Vec<usize> = r.checked.iter().copied().collect();
+            let sync = if r.synced.len() == members.len() {
+                SyncPlan::None
+            } else if let Some(&root) = r.synced.first() {
+                s.counters.param_broadcasts += 1;
+                SyncPlan::Broadcast { root }
+            } else {
+                SyncPlan::Handoff
+            };
+            let cause = format!("crash recovery (lost {dead:?})");
+            s.ranks_lost.extend(dead);
+            return Decision::Enter(self.open_generation(s, members, step, cause, wall_s), sync);
+        }
+        let joiners: Vec<usize> = s
+            .lobby
+            .iter()
+            .filter(|(node, &at)| at <= step && !view.members.contains(node))
+            .map(|(&node, _)| node)
+            .collect();
+        if r.leavers.is_empty() && joiners.is_empty() {
+            return Decision::Proceed;
+        }
+        let survivors: Vec<usize> =
+            view.members.iter().copied().filter(|m| !r.leavers.contains(m)).collect();
+        let mut members: Vec<usize> = survivors.iter().chain(&joiners).copied().collect();
+        members.sort_unstable();
+        assert!(
+            !members.is_empty(),
+            "every member left at step {step} and nobody joined — the model has no home"
+        );
+        for &j in &joiners {
+            s.lobby.remove(&j);
+            s.staging.ensure_node(j, self.staging_spn, self.staging_seed);
+        }
+        let cause = format!("{} leave / {} join", r.leavers.len(), joiners.len());
+        let new_view = self.open_generation(s, members, step, cause, wall_s);
+        // Survivor-less transition: persist the live state (params *and*
+        // optimizer) before the joiners are admitted.
+        let handoff = if survivors.is_empty() {
+            let path =
+                self.checkpoint_dir.join(format!("handoff-gen{:08}.exck", new_view.generation));
+            std::fs::create_dir_all(&self.checkpoint_dir)
+                .and_then(|()| write_handoff(&path))
+                .unwrap_or_else(|e| panic!("write handoff for generation {}: {e}", new_view.generation));
+            Some(path)
+        } else {
+            None
+        };
         if !joiners.is_empty() {
             if survivors.is_empty() {
                 s.counters.checkpoint_fallbacks += 1;
@@ -362,112 +478,51 @@ impl ElasticHub {
                 s.counters.param_broadcasts += 1;
             }
         }
-        let root = survivors.first().copied();
-        for j in &joiners {
+        for &j in &joiners {
+            *s.leases.entry(j).or_insert(0) += 1;
             s.admissions.insert(
-                *j,
+                j,
                 Admission {
-                    view: WorldView { generation: new_gen, members: new_members.to_vec() },
-                    start_step: begin_step,
-                    root,
+                    view: new_view.clone(),
+                    start_step: step,
+                    root: survivors.first().copied(),
                     handoff: handoff.clone(),
                 },
             );
         }
-        s.ranks_joined.extend(joiners);
-        s.ranks_left.extend(leavers);
-        let lr = self.lr_for(new_members.len());
+        s.ranks_joined.extend(&joiners);
+        s.ranks_left.extend(&r.leavers);
+        let sync = match survivors.first() {
+            Some(&root) if !joiners.is_empty() => SyncPlan::Broadcast { root },
+            _ => SyncPlan::None,
+        };
+        Decision::Enter(new_view, sync)
+    }
+
+    /// Starts the next generation over `members`: re-shards staging
+    /// ownership onto them and logs the generation.
+    fn open_generation(
+        &self,
+        s: &mut HubState,
+        members: Vec<usize>,
+        begin_step: usize,
+        cause: String,
+        wall_s: f64,
+    ) -> WorldView {
+        let generation = s.next_generation;
+        s.next_generation += 1;
+        let moved = s.staging.reassign_owners(&members);
+        s.staging_moved += moved;
         s.history.push(GenerationRecord {
-            generation: new_gen,
-            members: new_members.to_vec(),
+            generation,
+            members: members.clone(),
             begin_step,
-            cause: cause.to_string(),
-            lr,
+            cause,
+            lr: self.lr_for(members.len()),
             staging_moved: moved,
             transition_wall_s: wall_s,
         });
-        self.cv.notify_all();
-    }
-
-    /// Meets the other survivors of `failed_gen`, waits until every old
-    /// member has either checked in or provably died, and returns the
-    /// recovery view plus its sync plan: `(view, broadcast_root,
-    /// any_unsynced)`.
-    fn recover(
-        &self,
-        failed_gen: u64,
-        old_members: &[usize],
-        me: usize,
-        step: usize,
-        synced: bool,
-    ) -> (WorldView, Option<usize>, bool) {
-        let t0 = Instant::now();
-        let mut s = self.state.lock().unwrap();
-        if !s.recoveries.contains_key(&failed_gen) {
-            let g = s.next_generation;
-            s.next_generation += 1;
-            s.recoveries.insert(
-                failed_gen,
-                Recovery {
-                    new_generation: g,
-                    checked: BTreeSet::new(),
-                    synced: BTreeSet::new(),
-                    committed: None,
-                },
-            );
-        }
-        {
-            let r = s.recoveries.get_mut(&failed_gen).unwrap();
-            r.checked.insert(me);
-            if synced {
-                r.synced.insert(me);
-            }
-        }
-        self.cv.notify_all();
-        loop {
-            let ready = {
-                let r = s.recoveries.get(&failed_gen).unwrap();
-                old_members.iter().all(|m| r.checked.contains(m) || !s.alive.contains(m))
-            };
-            if ready {
-                break;
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-        let needs_finalize = s.recoveries.get(&failed_gen).unwrap().committed.is_none();
-        if needs_finalize {
-            let (survivors, dead, root, any_unsynced, new_gen) = {
-                let r = s.recoveries.get(&failed_gen).unwrap();
-                let survivors: Vec<usize> = r.checked.iter().copied().collect();
-                let dead: Vec<usize> =
-                    old_members.iter().copied().filter(|m| !r.checked.contains(m)).collect();
-                let root = r.synced.iter().copied().min();
-                let any_unsynced = survivors.iter().any(|m| !r.synced.contains(m));
-                (survivors, dead, root, any_unsynced, r.new_generation)
-            };
-            let moved = s.staging.reassign_owners(&survivors);
-            s.staging_moved += moved;
-            s.ranks_lost.extend(dead.iter().copied());
-            let lr = self.lr_for(survivors.len());
-            s.history.push(GenerationRecord {
-                generation: new_gen,
-                members: survivors.clone(),
-                begin_step: step,
-                cause: format!("crash recovery (lost {dead:?})"),
-                lr,
-                staging_moved: moved,
-                transition_wall_s: t0.elapsed().as_secs_f64(),
-            });
-            if any_unsynced && root.is_some() {
-                s.counters.param_broadcasts += 1;
-            }
-            s.recoveries.get_mut(&failed_gen).unwrap().committed =
-                Some((survivors, root, any_unsynced));
-            self.cv.notify_all();
-        }
-        let r = s.recoveries.get(&failed_gen).unwrap();
-        let (members, root, any_unsynced) = r.committed.clone().expect("recovery finalized");
-        (WorldView { generation: r.new_generation, members }, root, any_unsynced)
+        WorldView { generation, members }
     }
 
     /// Blocks until `me` is admitted or the run closes. `None` means the
@@ -517,30 +572,6 @@ enum MemberOutcome {
     NeverAdmitted { me: usize },
 }
 
-/// Outcome of one membership round at a step boundary.
-enum Round {
-    /// Membership unchanged — run the step.
-    Proceed,
-    /// This member departs gracefully.
-    Left,
-    /// A new view was committed; enter it and re-run the round.
-    Transition { view: WorldView, sync: SyncPlan },
-    /// The round was aborted by the leader — run recovery.
-    Recover,
-}
-
-/// How a freshly assembled world synchronizes model state.
-#[derive(Clone)]
-enum SyncPlan {
-    /// Everybody already holds the live state.
-    None,
-    /// Broadcast params + optimizer state from this member id; unsynced
-    /// members import, synced members just relay.
-    Broadcast { root: usize },
-    /// No survivor: every unsynced member loads its handoff checkpoint.
-    Handoff,
-}
-
 struct Member<B: BatchSource> {
     me: usize,
     hub: Arc<ElasticHub>,
@@ -550,6 +581,8 @@ struct Member<B: BatchSource> {
     replica: Replica,
     source: B,
     view: WorldView,
+    /// Membership rounds this member has run in `view`.
+    rounds: usize,
     synced: bool,
     handoff: Option<PathBuf>,
     /// Step this incarnation entered the world (−1 for founders). A
@@ -584,6 +617,7 @@ impl<B: BatchSource> Member<B> {
             replica: Replica::new(&cfg.base, me, model_builder),
             source,
             view: WorldView { generation: 0, members: Vec::new() },
+            rounds: 0,
             synced: false,
             handoff: None,
             joined_at: -1,
@@ -615,12 +649,13 @@ impl<B: BatchSource> Member<B> {
         }
     }
 
-    /// Enters a committed view: rendezvous the new communicator, run the
+    /// Enters a decided view: rendezvous the new communicator, run the
     /// sync plan, rewire. On error the member's view is already the new
-    /// generation, so recovery is keyed correctly.
+    /// generation, so the round that reports the failure is keyed to it.
     fn enter(&mut self, view: WorldView, sync: SyncPlan) -> Result<(), CommError> {
         self.replica.unwire();
         self.view = view;
+        self.rounds = 0;
         let mut comm = self.rv.join(
             self.view.generation,
             &self.view.members,
@@ -686,229 +721,46 @@ impl<B: BatchSource> Member<B> {
         Ok(())
     }
 
-    /// Keeps recovering until a world assembles. Each attempt is keyed by
-    /// the generation that just failed, so repeated failures (e.g. a rank
-    /// crashing during the recovery rendezvous) chain cleanly.
-    fn recover(&mut self, step: usize) {
-        loop {
-            self.replica.unwire();
-            let (view, root, any_unsynced) = self.hub.recover(
-                self.view.generation,
-                &self.view.members.clone(),
-                self.me,
-                step,
-                self.synced,
-            );
-            let sync = if !any_unsynced {
-                SyncPlan::None
-            } else {
-                match root {
-                    Some(r) => SyncPlan::Broadcast { root: r },
-                    None => SyncPlan::Handoff,
-                }
-            };
-            if self.enter(view, sync).is_ok() {
-                return;
-            }
-        }
+    /// Runs this member's next membership round in its current view.
+    fn round(&mut self, step: usize, failed: bool) -> Decision {
+        let check_in = CheckIn {
+            wants_leave: self.faults.leave_step(self.me) == Some(step)
+                && step as i64 > self.joined_at,
+            synced: self.synced,
+            failed,
+        };
+        let replica = &mut self.replica;
+        let decision = self.hub.round(&self.view, self.rounds, self.me, step, check_in, |path| {
+            let opt = replica.optimizer().export_state();
+            checkpoint::save_with_optimizer(&replica.state, &opt, path)
+        });
+        self.rounds += 1;
+        decision
     }
 
-    /// One membership round of the boundary before `step`.
-    ///
-    /// (`i` below is simultaneously the comm rank to message and the index
-    /// into `members` — an enumerate would obscure that, hence the allow.)
-    #[allow(clippy::needless_range_loop)]
-    fn boundary_round(&mut self, step: usize) -> Result<Round, CommError> {
-        let wants_leave =
-            self.faults.leave_step(self.me) == Some(step) && step as i64 > self.joined_at;
-        let members = self.view.members.clone();
-        let n = members.len();
-        if self.is_leader() {
-            let t0 = Instant::now();
-            let mut leavers: Vec<usize> = Vec::new();
-            if wants_leave {
-                leavers.push(self.me);
-            }
-            for i in 1..n {
-                let bytes = match self.replica.comm().try_recv_bytes(i, TAG_MS_UP) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.abort_round(n);
-                        return Err(e);
-                    }
-                };
-                match MemberMsg::decode(&bytes) {
-                    Ok(MemberMsg::Status { wants_leave: true }) => leavers.push(members[i]),
-                    Ok(MemberMsg::Status { wants_leave: false }) => {}
-                    other => panic!("leader expected Status from {}, got {other:?}", members[i]),
-                }
-            }
-            let joiners = self.hub.pending_joins(step, &members);
-            if leavers.is_empty() && joiners.is_empty() {
-                for i in 1..n {
-                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::NoChange.encode())?;
-                }
-                return Ok(Round::Proceed);
-            }
-            let mut new_members: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|m| !leavers.contains(m))
-                .chain(joiners.iter().copied())
-                .collect();
-            new_members.sort_unstable();
-            assert!(
-                !new_members.is_empty(),
-                "every member left at step {step} and nobody joined — the model has no home"
-            );
-            let new_gen = self.hub.alloc_generation();
-            let survivors: Vec<usize> =
-                members.iter().copied().filter(|m| new_members.contains(m)).collect();
-            // Survivor-less transition: persist the live state (params
-            // *and* optimizer) before the old world evaporates.
-            let handoff = if survivors.is_empty() {
-                let path = self.cfg.checkpoint_dir.join(format!("handoff-gen{new_gen:08}.exck"));
-                std::fs::create_dir_all(&self.cfg.checkpoint_dir)
-                    .and_then(|()| {
-                        let opt = self.replica.optimizer().export_state();
-                        checkpoint::save_with_optimizer(&self.replica.state, &opt, &path)
-                    })
-                    .unwrap_or_else(|e| panic!("write handoff for generation {new_gen}: {e}"));
-                Some(path)
-            } else {
-                None
-            };
-            let propose = ViewMsg::Propose { generation: new_gen, members: new_members.clone() };
-            for i in 1..n {
-                if let Err(e) =
-                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, propose.encode())
-                {
-                    self.abort_round(n);
-                    return Err(e);
-                }
-            }
-            for i in 1..n {
-                let ack = match self.replica.comm().try_recv_bytes(i, TAG_MS_UP) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.abort_round(n);
-                        return Err(e);
-                    }
-                };
-                match MemberMsg::decode(&ack) {
-                    Ok(MemberMsg::Ack) => {}
-                    other => panic!("leader expected Ack from {}, got {other:?}", members[i]),
-                }
-            }
-            for i in 1..n {
-                if let Err(e) = self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Commit.encode()) {
-                    self.abort_round(n);
-                    return Err(e);
-                }
-            }
-            let cause = format!("{} leave / {} join", leavers.len(), joiners.len());
-            self.hub.commit_transition(
-                new_gen,
-                &members,
-                &new_members,
-                step,
-                &cause,
-                handoff,
-                t0.elapsed().as_secs_f64(),
-            );
-            if leavers.contains(&self.me) {
-                return Ok(Round::Left);
-            }
-            let sync = if joiners.is_empty() {
-                SyncPlan::None
-            } else {
-                SyncPlan::Broadcast { root: survivors[0] }
-            };
-            Ok(Round::Transition {
-                view: WorldView { generation: new_gen, members: new_members },
-                sync,
-            })
-        } else {
-            let comm = self.replica.comm();
-            comm.try_send_bytes(0, TAG_MS_UP, MemberMsg::Status { wants_leave }.encode())?;
-            let ctrl = ViewMsg::decode(&comm.try_recv_bytes(0, TAG_MS_CTRL)?)
-                .unwrap_or_else(|e| panic!("member {}: bad control message: {e}", self.me));
-            match ctrl {
-                ViewMsg::NoChange => Ok(Round::Proceed),
-                ViewMsg::Abort => Ok(Round::Recover),
-                ViewMsg::Commit => panic!("member {}: Commit without a proposal", self.me),
-                ViewMsg::Propose { generation, members: new_members } => {
-                    comm.try_send_bytes(0, TAG_MS_UP, MemberMsg::Ack.encode())?;
-                    match ViewMsg::decode(&comm.try_recv_bytes(0, TAG_MS_CTRL)?)
-                        .unwrap_or_else(|e| panic!("member {}: bad control message: {e}", self.me))
-                    {
-                        ViewMsg::Commit => {
-                            if !new_members.contains(&self.me) {
-                                return Ok(Round::Left);
-                            }
-                            let joined_any =
-                                new_members.iter().any(|m| !members.contains(m));
-                            let sync = if joined_any {
-                                let root = members
-                                    .iter()
-                                    .copied()
-                                    .find(|m| new_members.contains(m))
-                                    .expect("a surviving member roots the broadcast");
-                                SyncPlan::Broadcast { root }
-                            } else {
-                                SyncPlan::None
-                            };
-                            Ok(Round::Transition {
-                                view: WorldView { generation, members: new_members },
-                                sync,
-                            })
-                        }
-                        ViewMsg::Abort => Ok(Round::Recover),
-                        other => {
-                            panic!("member {}: expected Commit/Abort, got {other:?}", self.me)
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Best-effort Abort to every other member (peers may already be
-    /// dead; that is exactly why we are aborting).
-    fn abort_round(&mut self, n: usize) {
-        for i in 1..n {
-            let _ = self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Abort.encode());
-        }
-    }
-
-    /// Runs the member until the step budget completes, it leaves, or it
-    /// crashes. Every step boundary runs membership rounds to a fixpoint
-    /// (a committed transition re-runs the round in the new world, which
-    /// is what lets a leave and a join cascade at one boundary).
-    fn run(mut self, start_step: usize) -> MemberOutcome {
-        let mut step = start_step;
+    /// Runs the member from `step` until the step budget completes, it
+    /// leaves, or it crashes; `failed` says its entry into the current
+    /// view failed. Every step boundary, and every failed attempt, runs
+    /// membership rounds to a fixpoint: a new view re-runs the round in
+    /// that view, which is what lets a crash, a leave and a join cascade
+    /// at one boundary.
+    fn run(mut self, mut step: usize, mut failed: bool) -> MemberOutcome {
         while step < self.cfg.base.steps {
             if self.faults.crash_step(self.me) == Some(step) {
                 // Fault injection: vanish. Dropping the communicator and
                 // the hub guard is the whole signal.
                 return MemberOutcome::Crashed { me: self.me };
             }
-            loop {
-                match self.boundary_round(step) {
-                    Ok(Round::Proceed) => break,
-                    Ok(Round::Left) => return MemberOutcome::Left { me: self.me },
-                    Ok(Round::Transition { view, sync }) => {
-                        if self.enter(view, sync).is_err() {
-                            self.recover(step);
-                        }
-                    }
-                    Ok(Round::Recover) | Err(_) => self.recover(step),
+            while let Decision::Enter(view, sync) = self.round(step, failed) {
+                if !view.members.contains(&self.me) {
+                    return MemberOutcome::Left { me: self.me };
                 }
+                failed = self.enter(view, sync).is_err();
             }
             // Elastic never lends the optimizer to the comm worker: a
-            // failed step is retried from live parameters after `recover`,
-            // and members may have applied *different* bucket subsets
-            // before the failure — unrecoverable divergence.
+            // failed step is retried from live parameters, and members may
+            // have applied *different* bucket subsets before the failure —
+            // unrecoverable divergence.
             match self.replica.step(step, &mut self.source, false) {
                 Ok(stats) => {
                     if self.is_leader() {
@@ -923,11 +775,11 @@ impl<B: BatchSource> Member<B> {
                 }
                 Err(_) => {
                     // A mid-step failure abandons the attempt: reset the
-                    // gradients, recover a smaller world, and re-run the
-                    // same global step there.
+                    // gradients and report it, so the next round moves to
+                    // a fresh world where the same global step re-runs.
                     self.replica.params.zero_grads();
                     self.hub.note_retry();
-                    self.recover(step);
+                    failed = true;
                 }
             }
         }
@@ -983,7 +835,7 @@ where
                 member.view = WorldView { generation: 0, members: founding };
                 member.synced = true;
                 member.configure(comm);
-                member.run(0)
+                member.run(0, false)
             }));
         }
         for me in faults.joining_nodes() {
@@ -993,19 +845,16 @@ where
                 let Some(adm) = hub.wait_admission(me) else {
                     return MemberOutcome::NeverAdmitted { me };
                 };
-                let mut member = new_member(me, hub.register(me));
+                let mut member = new_member(me, hub.adopt(me));
                 member.replica.fast_forward(&mut member.source, adm.start_step);
-                member.handoff = adm.handoff.clone();
+                member.handoff = adm.handoff;
                 member.joined_at = adm.start_step as i64;
                 let sync = match adm.root {
                     Some(root) => SyncPlan::Broadcast { root },
                     None => SyncPlan::Handoff,
                 };
-                let start = adm.start_step;
-                if member.enter(adm.view, sync).is_err() {
-                    member.recover(start);
-                }
-                member.run(start)
+                let failed = member.enter(adm.view, sync).is_err();
+                member.run(adm.start_step, failed)
             }));
         }
         handles.into_iter().map(|h| h.join().expect("member thread")).collect()
@@ -1068,7 +917,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::test_support::{mode, mode_configs, toy_config, toy_model, toy_source};
+    use crate::trainer::test_support::{mode, mode_configs, toy_config, toy_model, toy_source, ToySource};
     use crate::trainer::train_data_parallel;
 
     fn elastic_config(ranks: usize, steps: usize, dir: &str) -> ElasticConfig {
@@ -1090,6 +939,15 @@ mod tests {
         faults: &FaultPlan,
     ) -> (ElasticReport, Box<dyn exaclim_nn::Layer>) {
         train_data_parallel_elastic(cfg, faults, toy_model, toy_source)
+    }
+
+    /// `(members, begin_step, cause)` of every generation, in order.
+    fn history(r: &ElasticReport) -> Vec<(Vec<usize>, usize, String)> {
+        r.generations.iter().map(|g| (g.members.clone(), g.begin_step, g.cause.clone())).collect()
+    }
+
+    fn gen(members: &[usize], begin_step: usize, cause: &str) -> (Vec<usize>, usize, String) {
+        (members.to_vec(), begin_step, cause.to_string())
     }
 
     #[test]
@@ -1203,6 +1061,109 @@ mod tests {
         let last = r.generations.last().unwrap();
         assert!(last.cause.contains("crash recovery"), "{}", last.cause);
         assert_eq!(last.members, vec![0, 1, 3]);
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn lowest_id_member_crash_recovers_in_place() {
+        // Member 0 — the lowest id, which roots broadcasts and records
+        // steps — vanishes at the step-4 boundary; the others carry on.
+        let cfg = elastic_config(4, 8, "crash_lowest");
+        let faults = FaultPlan::seeded(12).with_crash_at_step(0, 4);
+        let (r, _m) = run(&cfg, &faults);
+        assert!(r.consistent);
+        assert_eq!(r.steps.len(), 8);
+        assert_eq!(r.steps_retried, 0);
+        assert_eq!(r.ranks_lost, vec![0]);
+        assert!(r.ranks_left.is_empty() && r.ranks_joined.is_empty());
+        assert_eq!(
+            history(&r),
+            vec![gen(&[0, 1, 2, 3], 0, "initial world"), gen(&[1, 2, 3], 4, "crash recovery (lost [0])")]
+        );
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn crash_and_join_resolve_at_one_boundary() {
+        // Member 2 crashes at the step-4 boundary exactly when id 5 is
+        // admissible: the crash is recovered first, then 5 is admitted
+        // into the recovered world, both before step 4 runs.
+        let cfg = elastic_config(3, 8, "crash_join");
+        let faults = FaultPlan::seeded(13).with_crash_at_step(2, 4).with_join_at_step(5, 4);
+        let (r, _m) = run(&cfg, &faults);
+        assert!(r.consistent);
+        assert_eq!(r.steps.len(), 8);
+        assert_eq!(r.steps_retried, 0);
+        assert_eq!(r.ranks_lost, vec![2]);
+        assert!(r.ranks_left.is_empty());
+        assert_eq!(r.ranks_joined, vec![5]);
+        assert_eq!(
+            history(&r),
+            vec![
+                gen(&[0, 1, 2], 0, "initial world"),
+                gen(&[0, 1], 4, "crash recovery (lost [2])"),
+                gen(&[0, 1, 5], 4, "0 leave / 1 join"),
+            ]
+        );
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn crash_and_leave_resolve_at_one_boundary() {
+        // Member 2 crashes at the step-4 boundary while member 1 asks to
+        // leave there: the crash is recovered first, then 1 departs.
+        let cfg = elastic_config(4, 8, "crash_leave");
+        let faults = FaultPlan::seeded(14).with_crash_at_step(2, 4).with_leave_at_step(1, 4);
+        let (r, _m) = run(&cfg, &faults);
+        assert!(r.consistent);
+        assert_eq!(r.steps.len(), 8);
+        assert_eq!(r.steps_retried, 0);
+        assert_eq!(r.ranks_lost, vec![2]);
+        assert_eq!(r.ranks_left, vec![1]);
+        assert!(r.ranks_joined.is_empty());
+        assert_eq!(
+            history(&r),
+            vec![
+                gen(&[0, 1, 2, 3], 0, "initial world"),
+                gen(&[0, 1, 3], 4, "crash recovery (lost [2])"),
+                gen(&[0, 3], 4, "1 leave / 0 join"),
+            ]
+        );
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn stalled_step_is_retried_in_a_fresh_world() {
+        // Member 1 stalls past the receive deadline inside step 3, so every
+        // member's attempt fails mid-flight. The round after the failed
+        // attempt moves the same members to a fresh generation, where
+        // step 3 re-runs: nobody is lost and every step completes once.
+        struct Stall {
+            inner: ToySource,
+            me: usize,
+            batches: usize,
+        }
+        impl BatchSource for Stall {
+            fn next_batch(&mut self) -> crate::trainer::Batch {
+                self.batches += 1;
+                if self.me == 1 && self.batches == 4 {
+                    std::thread::sleep(Duration::from_secs(3));
+                }
+                self.inner.next_batch()
+            }
+        }
+        let mut cfg = elastic_config(3, 6, "stall");
+        cfg.recv_deadline = Duration::from_secs(1);
+        let stall = |me| Stall { inner: toy_source(me), me, batches: 0 };
+        let (r, _m) = train_data_parallel_elastic(&cfg, &FaultPlan::none(), toy_model, stall);
+        assert!(r.consistent);
+        assert_eq!(r.steps.len(), 6);
+        assert_eq!(r.steps_retried, 3, "each member re-ran step 3 once");
+        assert!(r.ranks_lost.is_empty() && r.ranks_left.is_empty() && r.ranks_joined.is_empty());
+        assert_eq!(
+            history(&r),
+            vec![gen(&[0, 1, 2], 0, "initial world"), gen(&[0, 1, 2], 3, "crash recovery (lost [])")]
+        );
         std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 

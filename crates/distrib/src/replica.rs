@@ -131,11 +131,6 @@ impl Replica {
         self.optimizer.as_mut().expect("optimizer on rank thread")
     }
 
-    /// The communicator (never lent between steps).
-    pub fn comm(&mut self) -> &mut Communicator {
-        self.comm.as_mut().expect("communicator on rank thread")
-    }
-
     /// Joins a world of `world` ranks as rank `idx`: reduce settings whose
     /// node size falls back to flat when the world no longer tiles into
     /// full nodes, and — in overlap mode — a fresh comm engine fed by
